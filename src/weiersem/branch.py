@@ -8,22 +8,36 @@ branch is expanded by formal Newton iteration, and the series are folded
 back through the chain.  Valuations of rational functions are then exact
 orders of truncated power series, with exact leading coefficients; for
 polynomials the resultant degree provides an independent backend.
+
+The chart map and every blowup are calls of the one substitution
+primitive `BiPoly.substitute_binomial`, and every series product is the
+one coefficient-list multiply `polynomials._list_mul`, truncated.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, PreconditionError
+from .errors import InconsistencyError, InputError, PreconditionError
 from .fields import FieldElement
-from .polynomials import BiPoly, resultant_y, _kronecker_mul
+from .polynomials import BiPoly, UniPoly, resultant_y, _list_mul
 
 DEFAULT_PRECISION_CEILING = 1 << 16
 
 
 def precision_ceiling():
+    """WEIERSTRASS_PRECISION_CEILING (an integer >= 1) if set, else the
+    default."""
     v = os.environ.get("WEIERSTRASS_PRECISION_CEILING")
-    return int(v) if v else DEFAULT_PRECISION_CEILING
+    if not v:
+        return DEFAULT_PRECISION_CEILING
+    try:
+        ceiling = int(v)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise InputError("WEIERSTRASS_PRECISION_CEILING must be an integer "
+                         f">= 1, got {v!r}")
+    return ceiling
 
 
 # -- truncated power series as fixed-length rep lists ----------------------
@@ -46,23 +60,7 @@ def _ser_scale(a, c, field):
 
 
 def _ser_mul(a, b, field, prec):
-    a = a[:prec]
-    b = b[:prec]
-    if not any(a) or not any(b):
-        return [0] * prec
-    if field.k == 1:
-        out = _kronecker_mul(a, b, field.p)
-    else:
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = field.add, field.mul
-        for i, ai in enumerate(a):
-            if ai:
-                if i >= prec:
-                    break
-                for j, bj in enumerate(b):
-                    if bj and i + j < prec:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-    return _ser_pad(out, prec)
+    return _ser_pad(_list_mul(a[:prec], b[:prec], field, prec), prec)
 
 
 def _ser_inv(a, field, prec):
@@ -148,18 +146,8 @@ def _pure_power_root(coeffs, mu, field):
     for _ in range(a):
         lam = field.pow_rep(lam, q // p)
     # verify exactly
-    check = [1]
-    neg_lam = field.neg(lam)
-    for _ in range(mu):
-        nxt = [0] * (len(check) + 1)
-        for i, c in enumerate(check):
-            nxt[i] = field.add(nxt[i], field.mul(c, neg_lam))
-            nxt[i + 1] = field.add(nxt[i + 1], c)
-        check = nxt
-    check = [field.mul(c, c_top) for c in check]
-    if _ser_pad(cs, mu + 1) != check:
-        return None
-    return lam
+    check = (UniPoly(field, (field.neg(lam), 1)) ** mu).scale(c_top)
+    return lam if check.coeffs == tuple(cs) else None
 
 
 def _lowest_form(G):
@@ -194,32 +182,12 @@ def _tangent_step(G, field):
     return mu, _Step("v", lam)
 
 
-def _blowup(G, step, mu, field):
-    out = {}
+def _blowup(G, step, mu):
     if step.kind == "v":
-        lam = step.lam
-        for (i, j), c in G.terms.items():
-            for r in range(j + 1):
-                binom = math.comb(j, r) % field.p
-                if not binom:
-                    continue
-                coeff = field.mul(c, field.mul(
-                    binom, field.pow_rep(lam, j - r) if j - r else 1))
-                key = (i + j - mu, r)
-                s = field.add(out.get(key, 0), coeff)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    else:
-        for (i, j), c in G.terms.items():
-            key = (i, i + j - mu)
-            s = field.add(out.get(key, 0), c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return BiPoly(field, out)
+        return G.substitute_binomial(
+            step.lam, lambda i, j: j, lambda i, j, r: (i + j - mu, r))
+    return G.substitute_binomial(
+        0, lambda i, j: 0, lambda i, j, r: (i, i + j - mu))
 
 
 # -- infinity chart --------------------------------------------------------
@@ -251,25 +219,10 @@ def _infinity_chart(F):
 def _local_equation(F, chart, lam):
     """Dehomogenization at the infinite point, center moved to the origin:
     chart 'x': G(u,v) = F*(1, lam+u, v); chart 'y': G(u,v) = F*(u, 1, v)."""
-    field = F.field
     D = int(F.total_degree)
-    out = {}
-    for (i, j), c in F.terms.items():
-        zexp = D - i - j
-        uexp_deg = j if chart == "x" else i
-        for r in range(uexp_deg + 1):
-            binom = math.comb(uexp_deg, r) % field.p
-            if not binom:
-                continue
-            coeff = field.mul(c, field.mul(
-                binom, field.pow_rep(lam, uexp_deg - r) if uexp_deg - r else 1))
-            key = (r, zexp)
-            s = field.add(out.get(key, 0), coeff)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return BiPoly(field, out)
+    return F.substitute_binomial(
+        lam, (lambda i, j: j) if chart == "x" else (lambda i, j: i),
+        lambda i, j, r: (r, D - i - j))
 
 
 # -- the branch parametrization --------------------------------------------
@@ -301,7 +254,7 @@ class BranchParam:
             if step is None:
                 break
             steps.append(step)
-            G = _blowup(G, step, mu, self.field)
+            G = _blowup(G, step, mu)
             if G.coeff(0, 0) != 0:
                 raise InconsistencyError("strict transform missed the "
                                          "expected center")

@@ -28,87 +28,36 @@ def is_prime(n):
     return True
 
 
-# -- small helpers on coefficient lists over GF(p) (ascending exponents) --
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _polymulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
-    _trim(res)
-    k = len(mod) - 1
-    while len(res) > k:
-        top = res.pop()
-        if top:
-            d = len(res) - k
-            for i in range(k):
-                res[d + i] = (res[d + i] - top * mod[i]) % p
-        _trim(res)
-    return res
-
-
-def _polypowmod(a, e, mod, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, mod, p)
-        base = _polymulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _polygcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        while len(a) >= len(b):
-            if not a:
-                break
-            c = a[-1] * pow(b[-1], p - 2, p) % p
-            d = len(a) - len(b)
-            for i in range(len(b)):
-                a[d + i] = (a[d + i] - c * b[i]) % p
-            _trim(a)
-        a, b = b, a
-    return a
-
-
 def _is_irreducible(mod, p):
-    """Rabin test for a monic polynomial over GF(p)."""
+    """Rabin test for a monic polynomial over GF(p): f of degree k is
+    irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1 for
+    every prime l dividing k."""
+    from .polynomials import UniPoly
     k = len(mod) - 1
     if k < 1:
         return False
-    x = [0, 1]
-    # x^(p^k) == x (mod f)
-    q = _polypowmod(x, p ** k, mod, p)
-    width = max(len(q), 2)
-    q = q + [0] * (width - len(q))
-    xx = x + [0] * (width - 2)
-    if _trim([(a - b) % p for a, b in zip(q, xx)]):
+    f = UniPoly(FiniteField(p), mod)
+    x = UniPoly.x(f.field).divmod(f)[1]
+
+    def x_pow(e):
+        result, base = UniPoly.one(f.field), x
+        while e:
+            if e & 1:
+                result = (result * base).divmod(f)[1]
+            base = (base * base).divmod(f)[1]
+            e >>= 1
+        return result
+
+    if x_pow(p ** k) != x:
         return False
-    kk = k
-    ell = 2
-    primes = []
+    ell, kk = 2, k
     while kk > 1:
         if kk % ell == 0:
-            primes.append(ell)
+            if (x_pow(p ** (k // ell)) - x).gcd(f).degree != 0:
+                return False
             while kk % ell == 0:
                 kk //= ell
         ell += 1
-    for ell in primes:
-        q = _polypowmod(x, p ** (k // ell), mod, p)
-        diff = [(a - b) % p for a, b in zip(q + [0, 0], [0, 1] + [0] * len(q))]
-        _trim(diff)
-        if len(_polygcd(diff, list(mod), p)) != 1:
-            return False
     return True
 
 
@@ -143,12 +92,13 @@ class FiniteField:
         self.order = p ** k
         if k == 1:
             self.modulus = (0, 1) if modulus is None else tuple(modulus)
+        elif modulus is None:
+            self.modulus = default_modulus(p, k)  # irreducible by its search
         else:
-            self.modulus = tuple(modulus) if modulus is not None \
-                else default_modulus(p, k)
+            self.modulus = tuple(modulus)
             if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
                 raise InputError("modulus must be monic of degree k")
-            if not _is_irreducible(list(self.modulus), p):
+            if not _is_irreducible(self.modulus, p):
                 raise InputError("modulus is not irreducible")
         self._log = self._exp = None
         if k > 1 and self.order <= LOG_TABLE_LIMIT:

@@ -1,10 +1,15 @@
 """Dense univariate and sparse bivariate polynomials over a finite field.
 
-Coefficients are stored as integer field reps.  The Y-resultant of two
-bivariate polynomials is computed by Brown's subresultant pseudo-remainder
-sequence over the coefficient ring GF(q)[X]; the zero resultant is reported
-with the degree sentinel -inf, which the callers rely on as the
-common-factor signal.
+Coefficients are stored as integer field reps.  Two single kernels carry
+the polynomial arithmetic: `_list_mul` is the one coefficient-list multiply
+(UniPoly products, hence the Rabin test in `fields`, and the truncated
+series products in `branch`), and `BiPoly.substitute_binomial` is the one
+linear change of variables (X -> X + c*Y^k, Y -> Y + c*X, every blowup and
+chart map).  The
+Y-resultant of two bivariate polynomials is computed by Brown's
+subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X];
+the zero resultant is reported with the degree sentinel -inf, which the
+callers rely on as the common-factor signal.
 """
 
 import math
@@ -17,9 +22,10 @@ NEG_INF = float("-inf")
 _KRONECKER_CUTOFF = 64
 
 
-def _kronecker_mul(a, b, p):
-    """Product of two coefficient lists over GF(p), p prime, by packing
-    them into one big integer each (exact; fast for long operands).
+def _kronecker_mul(a, b, p, n_out):
+    """First n_out coefficients of the product of two coefficient lists
+    over GF(p), p prime, by packing them into one big integer each (exact;
+    fast for long operands).
 
     Slots are byte-aligned so packing and unpacking are single
     bytes-conversions instead of repeated big-integer shifts."""
@@ -34,28 +40,43 @@ def _kronecker_mul(a, b, p):
         if c:
             pb[i * sb:i * sb + sb] = c.to_bytes(sb, "little")
     prod = int.from_bytes(bytes(pa), "little") * int.from_bytes(bytes(pb), "little")
-    n_out = len(a) + len(b) - 1
-    raw = prod.to_bytes(n_out * sb + sb, "little")
+    raw = prod.to_bytes((len(a) + len(b)) * sb, "little")
     return [int.from_bytes(raw[k * sb:(k + 1) * sb], "little") % p
             for k in range(n_out)]
 
 
-def _list_mul(a, b, field):
+def _list_mul(a, b, field, trunc=None):
+    """The coefficient-list multiply: a*b without trailing zeros, or only
+    its first `trunc` coefficients (truncated power series)."""
     if not a or not b:
         return []
+    n = len(a) + len(b) - 1
+    if trunc is not None and trunc < n:
+        n = trunc
     if field.k == 1 and len(a) * len(b) >= _KRONECKER_CUTOFF:
-        out = _kronecker_mul(a, b, field.p)
+        out = _kronecker_mul(a, b, field.p, n)
     else:
-        out = [0] * (len(a) + len(b) - 1)
+        out = [0] * n
         mul, add = field.mul, field.add
-        for i, ai in enumerate(a):
+        lb = len(b)
+        for i, ai in enumerate(a[:n]):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b if i + lb <= n else b[:n - i]):
                     if bj:
                         out[i + j] = add(out[i + j], mul(ai, bj))
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _accumulate(out, key, value, field):
+    """out[key] += value in a sparse term dict, dropping a key whose sum
+    vanishes."""
+    s = field.add(out.get(key, 0), value)
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 class UniPoly:
@@ -285,11 +306,7 @@ class BiPoly:
         f = self.field
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = f.add(out.get(k, 0), v)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _accumulate(out, k, v, f)
         return BiPoly(f, out)
 
     def __sub__(self, other):
@@ -302,15 +319,9 @@ class BiPoly:
     def __mul__(self, other):
         f = self.field
         out = {}
-        add, mul = f.add, f.mul
         for (i1, j1), a in self.terms.items():
             for (i2, j2), b in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = add(out.get(k, 0), mul(a, b))
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                _accumulate(out, (i1 + i2, j1 + j2), f.mul(a, b), f)
         return BiPoly(f, out)
 
     def scale(self, rep):
@@ -393,47 +404,35 @@ class BiPoly:
                 r.pop()
         return (BiPoly.from_y_coeffs(f, q), BiPoly.from_y_coeffs(f, r))
 
+    def substitute_binomial(self, lam, exponent, key):
+        """The one linear change of variables: each term c*X^i*Y^j becomes
+        c*(W + lam)^n with n = exponent(i, j), expanded by the binomial
+        theorem, with the W^r part landing on the monomial key(i, j, r)."""
+        f = self.field
+        out = {}
+        for (i, j), c in self.terms.items():
+            n = exponent(i, j)
+            for r in range(n + 1):
+                binom = math.comb(n, r) % f.p
+                if binom:
+                    coeff = f.mul(c, f.mul(binom, f.pow_rep(lam, n - r)))
+                    _accumulate(out, key(i, j, r), coeff, f)
+        return BiPoly(f, out)
+
     def substitute_x(self, k, sign=1):
         """Ring homomorphism X -> X + sign*Y^k (sign is +1 or -1)."""
         if k < 1:
             raise ValueError("substitution exponent must be >= 1")
-        f = self.field
-        s_rep = 1 if sign > 0 else f.neg(1)
-        out = {}
-        for (i, j), c in self.terms.items():
-            for u in range(i + 1):
-                binom = math.comb(i, u) % f.p
-                if not binom:
-                    continue
-                coeff = f.mul(c, f.mul(binom, f.pow_rep(s_rep, i - u)))
-                key = (u, j + k * (i - u))
-                s = f.add(out.get(key, 0), coeff)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return BiPoly(f, out)
+        s_rep = 1 if sign > 0 else self.field.neg(1)
+        return self.substitute_binomial(
+            s_rep, lambda i, j: i, lambda i, j, r: (r, j + k * (i - r)))
 
     def shear_y(self, lam):
         """Ring homomorphism Y -> Y + lam*X (lam a field rep)."""
-        f = self.field
         if lam == 0:
             return self
-        out = {}
-        for (i, j), c in self.terms.items():
-            for r in range(j + 1):
-                binom = math.comb(j, r) % f.p
-                if not binom:
-                    continue
-                coeff = f.mul(c, f.mul(
-                    binom, f.pow_rep(lam, j - r) if j - r else 1))
-                key = (i + j - r, r)
-                s = f.add(out.get(key, 0), coeff)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return BiPoly(f, out)
+        return self.substitute_binomial(
+            lam, lambda i, j: j, lambda i, j, r: (i + j - r, r))
 
     def derivative_x(self):
         f = self.field

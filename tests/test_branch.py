@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from weiersem import (BiPoly, PreconditionError, normalize_degree,
-                      parse_field, parse_poly, parse_rational, parametrize,
-                      valuation, valuation_by_resultant)
+from weiersem import (BiPoly, InputError, PreconditionError,
+                      normalize_degree, parse_field, parse_poly,
+                      parse_rational, parametrize, valuation,
+                      valuation_by_resultant)
+from weiersem.branch import DEFAULT_PRECISION_CEILING, precision_ceiling
 
 F5 = parse_field("GF(5)")
 F7 = parse_field("GF(7)")
@@ -170,6 +172,24 @@ def test_precision_ceiling(monkeypatch, cusp_model):
         valuation(param, big)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", "0x40"])
+def test_precision_ceiling_rejects_malformed(monkeypatch, cusp_model, value):
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", value)
+    with pytest.raises(InputError, match="WEIERSTRASS_PRECISION_CEILING"):
+        precision_ceiling()
+    with pytest.raises(InputError):
+        parametrize(cusp_model)
+
+
+def test_precision_ceiling_accepted_values(monkeypatch):
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "1")
+    assert precision_ceiling() == 1
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "")
+    assert precision_ceiling() == DEFAULT_PRECISION_CEILING
+    monkeypatch.delenv("WEIERSTRASS_PRECISION_CEILING")
+    assert precision_ceiling() == DEFAULT_PRECISION_CEILING
+
+
 def test_multibranch_detected():
     # Y^2 - X^2*(X+1) has two branches through its node; the degree form
     # Y^2 - X^3 ... over GF(7) the curve Y^2-X^2 has two points at infinity
@@ -178,18 +198,13 @@ def test_multibranch_detected():
         parametrize(normalize_degree(model_eq))
 
 
-def test_extension_field_parametrization():
-    # exercise the generic (non-Kronecker) series path over GF(4)
-    F4 = parse_field("GF(2^2)")
-    model = normalize_degree(parse_poly("Y^3+[t]*X^2", F4))
-    param = parametrize(model, precision=48)
-    assert -valuation(param, BiPoly.x(F4)).order == 3
-    assert -valuation(param, BiPoly.y(F4)).order == 2
-    assert valuation_by_resultant(model, BiPoly.x(F4)) == 3
-    assert valuation_by_resultant(model, BiPoly.y(F4)) == 2
-    rng = random.Random(4)
-    for _ in range(10):
-        g = _random_poly(rng, F4, 2, 2)
+def _check_against_resultants(field, curve, precision, seed):
+    model = normalize_degree(parse_poly(curve, field))
+    param = parametrize(model, precision=precision)
+    rng = random.Random(seed)
+    probes = [BiPoly.x(field), BiPoly.y(field)] + \
+        [_random_poly(rng, field, 2, 2) for _ in range(10)]
+    for g in probes:
         if g.is_zero() or g.divmod_y(model.equation)[1].is_zero():
             continue
         try:
@@ -197,3 +212,21 @@ def test_extension_field_parametrization():
         except PreconditionError:
             continue
         assert -valuation(param, g).order == r
+    return model, param
+
+
+def test_extension_field_parametrization():
+    # the generic (non-Kronecker) series path over GF(4)
+    F4 = parse_field("GF(2^2)")
+    model, param = _check_against_resultants(F4, "Y^3+[t]*X^2", 48, 4)
+    assert -valuation(param, BiPoly.x(F4)).order == 3
+    assert -valuation(param, BiPoly.y(F4)).order == 2
+    assert valuation_by_resultant(model, BiPoly.x(F4)) == 3
+    assert valuation_by_resultant(model, BiPoly.y(F4)) == 2
+    # blowups over an odd-characteristic extension field
+    F9 = parse_field("GF(3^2)")
+    _, param = _check_against_resultants(F9, "Y^3+Y+X^4", 48, 9)
+    assert param._steps
+    # the chart-y local equation over an extension field
+    _, param = _check_against_resultants(F4, "X^5+Y^3+[t]", None, 5)
+    assert param.chart == "y"

@@ -212,3 +212,17 @@ def test_selftest_passes():
     assert code == 0
     assert text.count("PASS") == 4
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_malformed_precision_ceiling_exit_1(monkeypatch, capsys, basis_file,
+                                            value):
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", value)
+    code, text = _run(["weierstrass", "--field", "GF(2)",
+                       "--curve", "Y^8+Y^2+X^3",
+                       "--integral-basis", basis_file])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "WEIERSTRASS_PRECISION_CEILING" in err

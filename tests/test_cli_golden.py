@@ -1,0 +1,67 @@
+"""Byte-for-byte CLI stdout against recorded golden files.
+
+The recordings in tests/data/cli_golden/*.out pin the full stdout of the
+README commands on the golden curve plus two extension-field runs, so a
+refactor of the arithmetic kernels cannot change any printed digit.
+Re-record (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import io
+import os
+import sys
+
+import pytest
+
+from weiersem.cli import run
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                    "cli_golden")
+GOLDEN = ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
+          "--integral-basis", os.path.join(DATA, "golden_basis.txt")]
+HERMITIAN_GF4 = ["--field", "GF(2^2)", "--curve", "Y^2+Y+X^3",
+                 "--integral-basis", os.path.join(DATA, "empty_basis.txt")]
+
+CASES = {
+    "golden_analyze": ["curve", "analyze", "--field", "GF(2)",
+                       "--curve", "Y^8+Y^2+X^3"],
+    "golden_weierstrass": ["weierstrass"] + GOLDEN,
+    "golden_lbasis_m10": ["lbasis"] + GOLDEN + ["--m", "10"],
+    "golden_code_build": ["code", "build"] + GOLDEN
+                         + ["--ext", "3", "--m", "5", "--format", "csv"],
+    "golden_code_bounds": ["code", "bounds"] + GOLDEN
+                          + ["--ext", "3", "--m-range", "0:12"],
+    "golden_code_syndrome": ["code", "syndrome"] + GOLDEN
+                            + ["--ext", "3", "--m", "3",
+                               "--y", "0,1,t^2,0,t,1"],
+    "hermitian_gf4_weierstrass": ["weierstrass"] + HERMITIAN_GF4,
+    "hermitian_gf4_lbasis_m8": ["lbasis"] + HERMITIAN_GF4 + ["--m", "8"],
+    "y3_gf9_analyze": ["curve", "analyze", "--field", "GF(3^2)",
+                       "--curve", "Y^3+Y+X^4"],
+}
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    code = run(argv, out=out)
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_recording(name):
+    code, text = _stdout(CASES[name])
+    assert code == 0
+    with open(os.path.join(DATA, name + ".out"), "rb") as fh:
+        assert text == fh.read()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_cli_golden.py --record")
+    for name, argv in sorted(CASES.items()):
+        code, text = _stdout(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        with open(os.path.join(DATA, name + ".out"), "wb") as fh:
+            fh.write(text)

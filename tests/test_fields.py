@@ -3,6 +3,7 @@ import random
 import pytest
 
 from weiersem import FiniteField, InputError, default_modulus
+from weiersem.fields import _is_irreducible
 
 
 def test_gf2_characteristic():
@@ -109,3 +110,46 @@ def test_format_rep():
     assert F8.format_rep(1) == "1"
     assert F8.format_rep(2) == "t"
     assert F8.format_rep(5) == "t^2+1"
+
+
+def _mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 7)]
+                         + [(3, k) for k in range(1, 5)]
+                         + [(5, k) for k in range(1, 4)])
+def test_rabin_test_matches_gauss_count(p, k):
+    """The monic irreducibles of degree k over GF(p) number
+    (1/k) * sum over d | k of mobius(d) * p^(k/d)."""
+    expected = sum(_mobius(d) * p ** (k // d)
+                   for d in range(1, k + 1) if k % d == 0) // k
+    accepted = 0
+    for v in range(p ** k):
+        low = [(v // p ** i) % p for i in range(k)]
+        accepted += _is_irreducible(low + [1], p)
+    assert accepted == expected
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+    (2, 16, (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (3, 5, (1, 2, 0, 0, 0, 1)),
+    (3, 12, (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (13, 4, (2, 0, 0, 0, 1)),
+])
+def test_default_modulus_pinned(p, k, modulus):
+    assert default_modulus(p, k) == modulus
+
+
+def test_default_modulus_degree_one():
+    # a linear polynomial is irreducible; the least one is t itself
+    assert default_modulus(5, 1) == (0, 1) == FiniteField(5).modulus

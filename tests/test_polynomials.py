@@ -4,6 +4,7 @@ import pytest
 
 from weiersem import (BiPoly, FiniteField, NEG_INF, UniPoly, parse_poly,
                       resultant_y)
+from weiersem.polynomials import _KRONECKER_CUTOFF, _list_mul
 
 
 def _random_bipoly(rng, field, dx, dy, density=0.7):
@@ -186,3 +187,66 @@ def test_repr_roundtrip(gf2):
             if P.is_zero():
                 continue
             assert parse_poly(repr(P), field) == P
+
+
+def _naive_product(a, b, field):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return out
+
+
+@pytest.mark.parametrize("p,k,la,lb", [
+    (5, 1, 4, 5),      # 20 < _KRONECKER_CUTOFF: schoolbook
+    (5, 1, 9, 12),     # 108 >= _KRONECKER_CUTOFF: packed big-integer path
+    (2, 3, 9, 12),
+    (3, 2, 9, 12),
+])
+def test_list_mul_against_double_loop(p, k, la, lb):
+    F = FiniteField(p, k)
+    assert (la * lb >= _KRONECKER_CUTOFF) == (la == 9)
+    rng = random.Random(100 * p + la)
+    for _ in range(10):
+        a = [rng.randrange(F.order) for _ in range(la)]
+        b = [rng.randrange(F.order) for _ in range(lb)]
+        a[-1] = b[-1] = 0          # trailing zeros in, none out
+        full = _naive_product(a, b, F)
+        n = len(full)
+        for trunc in (None, 1, n // 2, n - 1, n, n + 7):
+            expected = full[:trunc] if trunc is not None else full[:]
+            while expected and expected[-1] == 0:
+                expected.pop()
+            assert _list_mul(a, b, F, trunc) == expected
+
+
+def _ring_map_fields():
+    return [FiniteField(7), FiniteField(2, 2), FiniteField(3, 2)]
+
+
+@pytest.mark.parametrize("field", _ring_map_fields(), ids=repr)
+def test_shear_is_a_ring_map(field):
+    """P.shear_y(lam)(x, y) == P(x, y + lam*x) at every point."""
+    rng = random.Random(field.order)
+    points = [(x, y) for x in range(field.order) for y in range(field.order)]
+    for lam in range(field.order):
+        P = _random_bipoly(rng, field, 3, 4)
+        S = P.shear_y(lam)
+        for x, y in points:
+            assert S.eval_rep(x, y) == \
+                P.eval_rep(x, field.add(y, field.mul(lam, x)))
+
+
+@pytest.mark.parametrize("field", _ring_map_fields(), ids=repr)
+def test_substitute_x_is_a_ring_map(field):
+    """P.substitute_x(k, sign)(x, y) == P(x + sign*y^k, y) at every point."""
+    rng = random.Random(field.order + 1)
+    points = [(x, y) for x in range(field.order) for y in range(field.order)]
+    for k in (1, 2, 3):
+        for sign in (+1, -1):
+            P = _random_bipoly(rng, field, 4, 3)
+            S = P.substitute_x(k, sign)
+            for x, y in points:
+                shift = field.pow_rep(y, k)
+                moved = field.add(x, shift) if sign > 0 else field.sub(x, shift)
+                assert S.eval_rep(x, y) == P.eval_rep(moved, y)
