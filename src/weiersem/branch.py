@@ -17,7 +17,8 @@ one coefficient-list multiply `polynomials._list_mul`, truncated.
 import os
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, InputError, PreconditionError
+from .errors import InconsistencyError, InputError, PrecisionCeilingError, \
+    PreconditionError
 from .fields import FieldElement
 from .polynomials import BiPoly, UniPoly, resultant_y, _list_mul
 
@@ -303,7 +304,7 @@ class BranchParam:
 
     def _compute_series(self, prec):
         if prec > self.ceiling:
-            raise PreconditionError(
+            raise PrecisionCeilingError(
                 f"required precision {prec} exceeds the ceiling "
                 f"{self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
         field = self.field
@@ -385,7 +386,7 @@ class BranchParam:
                 if needed <= self.ceiling:
                     target = self.ceiling
                 else:
-                    raise PreconditionError(
+                    raise PrecisionCeilingError(
                         f"valuation needs precision {needed} beyond the "
                         f"ceiling {self.ceiling}")
             self.refine(target)

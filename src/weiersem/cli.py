@@ -8,9 +8,11 @@ WEIERSTRASS_PRECISION_CEILING overrides the series precision ceiling.
 import argparse
 import csv
 import sys
+from bisect import bisect_right
 
 from .branch import parametrize, valuation_by_resultant
-from .codes import build_code, enumerate_points, in_code, known_syndromes
+from .codes import build_code, designed_bounds, enumerate_points, in_code, \
+    known_syndromes
 from .curves import am_sequence, normalize_degree, one_branch_criterion, \
     semigroup_at_infinity
 from .errors import HypothesisError, InconsistencyError, InputError, \
@@ -314,13 +316,15 @@ def _cmd_code(args, out):
     if sub == "bounds":
         a, b = _parse_range(args.m_range)
         gamma = report.gamma
+        m_values = [m for m in range(a, b + 1) if m in gamma]
         rows = []
-        for m in range(a, b + 1):
-            if m not in gamma:
-                continue
-            spec = build_code(report.table, points, m)
-            rows.append({"m": m, "k": spec.k, "d_star": spec.d_star,
-                         "delta_fr": spec.fr_bound, "t_corr": spec.t_correct})
+        if m_values:
+            spec = build_code(report.table, points, m_values[-1])
+        for m in m_values:
+            rank = spec.ranks[bisect_right(spec.row_values, m) - 1]
+            d_star, _, fr = designed_bounds(gamma, m)
+            rows.append({"m": m, "k": spec.n - rank, "d_star": d_star,
+                         "delta_fr": fr, "t_corr": (fr - 1) // 2})
         _emit_table(rows, ["m", "k", "d_star", "delta_fr", "t_corr"],
                     args.format, out)
         return 0

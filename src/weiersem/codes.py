@@ -2,8 +2,10 @@
 
 The code C(m) is represented by its parity-check (evaluation) matrix: one
 row per basis function of L(mP), evaluated at rational points enumerated
-over a chosen extension field.  Dimensions come from exact Gaussian
-elimination; designed distances combine the Goppa bound with the Feng-Rao
+over a chosen extension field.  The basis is ordered by pole order, so the
+rows of C(m) are a prefix of the rows of C(m') for every m <= m': one exact
+row-insertion elimination of the largest matrix gives the rank of every
+C(m) at once.  Designed distances combine the Goppa bound with the Feng-Rao
 distance of the Weierstrass semigroup.
 """
 
@@ -14,31 +16,32 @@ from .errors import InputError, PreconditionError
 from .weierstrass import l_basis
 
 
-def _row_reduce(rows, field):
-    """Rank of a matrix of field reps (in-place Gaussian elimination)."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(x, inv) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, rows
+def _echelon(rows, field):
+    """Row-insertion Gauss-Jordan elimination of a matrix of field reps.
+
+    Returns the reduced basis [(pivot column, row)] of the row space, with
+    a 1 at each pivot and 0 in every other basis row's pivot column, and
+    the rank of every prefix rows[:i+1]."""
+    basis = []
+    ranks = []
+    for row in rows:
+        for pc, prow in basis:
+            c = row[pc]
+            if c:
+                row = [field.sub(x, field.mul(c, y))
+                       for x, y in zip(row, prow)]
+        pc = next((col for col, x in enumerate(row) if x), None)
+        if pc is not None:
+            inv = field.inv(row[pc])
+            row = [field.mul(x, inv) for x in row]
+            for i, (qc, qrow) in enumerate(basis):
+                c = qrow[pc]
+                if c:
+                    basis[i] = (qc, [field.sub(x, field.mul(c, y))
+                                     for x, y in zip(qrow, row)])
+            basis.append((pc, row))
+        ranks.append(len(basis))
+    return basis, ranks
 
 
 def _nullspace(rows, field):
@@ -46,23 +49,29 @@ def _nullspace(rows, field):
     if not rows:
         return []
     n = len(rows[0])
-    rank, red = _row_reduce(rows, field)
-    red = red[:rank]
-    pivots = []
-    for r in red:
-        for col, x in enumerate(r):
-            if x:
-                pivots.append(col)
-                break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
+    basis, _ = _echelon(rows, field)
+    pivots = {pc for pc, _ in basis}
+    out = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [0] * n
         vec[fc] = 1
-        for r, pc in zip(red, pivots):
-            vec[pc] = field.neg(r[fc])
-        basis.append(vec)
-    return basis
+        for pc, row in basis:
+            vec[pc] = field.neg(row[fc])
+        out.append(vec)
+    return out
+
+
+def _value(fn, idx, x, y, ext, embed):
+    """f(P) for the point #idx = (x, y) over ext; a pole there is a
+    precondition failure."""
+    dv = fn.den.eval_rep(x, y, target=ext, embed=embed)
+    if dv == 0:
+        raise PreconditionError(
+            f"basis function of pole order {fn.value} has a pole at "
+            f"point #{idx} = ({ext.format_rep(x)}, {ext.format_rep(y)})")
+    return ext.div(fn.num.eval_rep(x, y, target=ext, embed=embed), dv)
 
 
 @dataclass(frozen=True)
@@ -120,10 +129,18 @@ class CodeSpec:
     t_correct: int           # floor((fr_bound - 1) / 2)
     genus: int
     row_values: tuple        # pole orders of the basis rows
+    ranks: tuple             # rank of each row prefix matrix[:i+1]
     matrix: tuple            # rows of field reps
     field: object
     improved: bool
     points: tuple
+
+
+def designed_bounds(gamma, m):
+    """(d*, m', delta_FR(m')) of C(m): the Goppa designed distance
+    m + 2 - 2g, m' = min{r in Gamma | r > m} and its Feng-Rao distance."""
+    m_prime = gamma.next_element(m + 1)
+    return m + 2 - 2 * gamma.genus, m_prime, gamma.feng_rao(m_prime)
 
 
 def build_code(table, points, m, improved=False):
@@ -132,39 +149,25 @@ def build_code(table, points, m, improved=False):
     if m < 0:
         raise PreconditionError("m must be nonnegative")
     gamma = table.numerical()
-    genus = gamma.genus
     ext = points.field
-    base = table.oracle.field
-    embed = base.embedding_into(ext)
+    embed = table.oracle.field.embedding_into(ext)
     if improved:
         tel = table.telescopic
-        values = [r for r in gamma.elements(m) if tel.contains(r)]
-        funcs = [table.function_for(r) for r in values]
+        funcs = [table.function_for(r) for r in gamma.elements(m)
+                 if tel.contains(r)]
     else:
         funcs = l_basis(table, m)
-        values = [f.value for f in funcs]
-    matrix = []
-    for fn in funcs:
-        row = []
-        for idx, (x, y) in enumerate(points.points):
-            dv = fn.den.eval_rep(x, y, target=ext, embed=embed)
-            if dv == 0:
-                raise PreconditionError(
-                    f"basis function of pole order {fn.value} has a pole at "
-                    f"point #{idx} = ({ext.format_rep(x)}, {ext.format_rep(y)})")
-            nv = fn.num.eval_rep(x, y, target=ext, embed=embed)
-            row.append(ext.div(nv, dv))
-        matrix.append(row)
-    rank, _ = _row_reduce(matrix, ext)
+    matrix = tuple(tuple(_value(fn, idx, x, y, ext, embed)
+                         for idx, (x, y) in enumerate(points.points))
+                   for fn in funcs)
+    _, ranks = _echelon(matrix, ext)
     n = len(points.points)
-    m_prime = m + 1
-    while m_prime not in gamma:
-        m_prime += 1
-    fr = gamma.feng_rao(m_prime)
-    return CodeSpec(m=m, n=n, k=n - rank, rank=rank, d_star=m + 2 - 2 * genus,
+    d_star, m_prime, fr = designed_bounds(gamma, m)
+    return CodeSpec(m=m, n=n, k=n - ranks[-1], rank=ranks[-1], d_star=d_star,
                     m_prime=m_prime, fr_bound=fr, t_correct=(fr - 1) // 2,
-                    genus=genus, row_values=tuple(values),
-                    matrix=tuple(tuple(r) for r in matrix), field=ext,
+                    genus=gamma.genus,
+                    row_values=tuple(fn.value for fn in funcs),
+                    ranks=tuple(ranks), matrix=matrix, field=ext,
                     improved=improved, points=points.points)
 
 
@@ -190,19 +193,15 @@ def in_code(spec, word):
 def bidim_syndrome(table, points, error, i, j):
     """s_(i,j)(e) = sum_k e_k f_i(P_k) f_j(P_k) by direct summation."""
     ext = points.field
-    base = table.oracle.field
-    embed = base.embedding_into(ext)
+    embed = table.oracle.field.embedding_into(ext)
     fi = table.function_for(i)
     fj = table.function_for(j)
     acc = 0
-    for ek, (x, y) in zip(error, points.points):
-        if ek == 0:
-            continue
-        vi = ext.div(fi.num.eval_rep(x, y, target=ext, embed=embed),
-                     fi.den.eval_rep(x, y, target=ext, embed=embed))
-        vj = ext.div(fj.num.eval_rep(x, y, target=ext, embed=embed),
-                     fj.den.eval_rep(x, y, target=ext, embed=embed))
-        acc = ext.add(acc, ext.mul(ek, ext.mul(vi, vj)))
+    for idx, (ek, (x, y)) in enumerate(zip(error, points.points)):
+        if ek:
+            vi = _value(fi, idx, x, y, ext, embed)
+            vj = _value(fj, idx, x, y, ext, embed)
+            acc = ext.add(acc, ext.mul(ek, ext.mul(vi, vj)))
     return acc
 
 
@@ -217,10 +216,7 @@ def distance_bound_table(table, m_values):
             continue
         goppa = m + 1 - 2 * g
         fr = gamma.feng_rao(m)
-        m_prime = m + 1
-        while m_prime not in gamma:
-            m_prime += 1
-        fr_next = gamma.feng_rao(m_prime)
+        fr_next = gamma.feng_rao(gamma.next_element(m + 1))
         rows.append({"m": m, "d_star": goppa, "delta_fr": fr,
                      "gain": fr - goppa, "t_corr": (fr_next - 1) // 2})
     return rows
@@ -233,7 +229,7 @@ def min_distance_exact(spec):
     if spec.n > 24:
         raise PreconditionError("exact minimum distance is limited to n <= 24")
     ext = spec.field
-    basis = _nullspace([list(r) for r in spec.matrix], ext)
+    basis = _nullspace(spec.matrix, ext)
     k = len(basis)
     if k != spec.k:
         raise PreconditionError("nullspace dimension disagrees with k")

@@ -21,6 +21,11 @@ class HypothesisError(PreconditionError):
     """The characteristic divides both degree invariants of the model."""
 
 
+class PrecisionCeilingError(PreconditionError):
+    """The branch series would need more terms than the precision ceiling
+    (WEIERSTRASS_PRECISION_CEILING) allows."""
+
+
 class InconsistencyError(WeiersemError):
     """An internal invariant failed; indicates inconsistent input data
     (e.g. a claimed integral basis of the wrong size) or a bug."""

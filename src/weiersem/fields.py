@@ -126,29 +126,22 @@ class FiniteField:
         return self.encode(prod[:k])
 
     def _build_log_tables(self):
+        """exp/log tables of the first g >= 2 of order q - 1, i.e. with
+        g^((q-1)/l) != 1 for every prime l dividing q - 1 (one exists since
+        the modulus is irreducible)."""
         q = self.order
-        for g in range(2, q):
-            seen = [False] * q
-            x = 1
-            ok = True
-            for _ in range(q - 1):
-                if seen[x]:
-                    ok = False
-                    break
-                seen[x] = True
-                x = self._raw_mul(x, g)
-            if ok:
-                exp = [0] * (q - 1)
-                log = [0] * q
-                x = 1
-                for i in range(q - 1):
-                    exp[i] = x
-                    log[x] = i
-                    x = self._raw_mul(x, g)
-                self._exp, self._log = exp, log
-                self.generator_rep = g
-                return
-        raise InputError("no multiplicative generator found (bad modulus?)")
+        primes = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
+        g = next(g for g in range(2, q)
+                 if all(self.pow_rep(g, (q - 1) // l) != 1 for l in primes))
+        exp = [0] * (q - 1)
+        log = [0] * q
+        x = 1
+        for i in range(q - 1):
+            exp[i] = x
+            log[x] = i
+            x = self._raw_mul(x, g)
+        self._exp, self._log = exp, log
+        self.generator_rep = g
 
     # -- integer-rep arithmetic ----------------------------------------
 
@@ -254,10 +247,6 @@ class FiniteField:
             raise PreconditionError("prime field has no basis generator t")
         return FieldElement(self, self.p)
 
-    def elements(self):
-        for rep in range(self.order):
-            yield FieldElement(self, rep)
-
     def embedding_into(self, other):
         """Return a rep -> rep field embedding GF(p^k) -> GF(p^(k*e)).
 
@@ -302,9 +291,6 @@ class FiniteField:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
-
-    def spec_string(self):
-        return repr(self)
 
     def format_rep(self, rep):
         """Grammar form of an element: plain integer or a t-polynomial."""

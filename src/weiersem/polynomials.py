@@ -97,14 +97,6 @@ class UniPoly:
         return cls(field, (), var)
 
     @classmethod
-    def const(cls, field, value, var="X"):
-        if isinstance(value, FieldElement):
-            value = value.rep
-        else:
-            value = field.from_int(value)
-        return cls(field, (value,), var)
-
-    @classmethod
     def one(cls, field, var="X"):
         return cls(field, (1,), var)
 
@@ -151,12 +143,6 @@ class UniPoly:
             return UniPoly.zero(f, self.var)
         return UniPoly(f, [f.mul(c, rep) for c in self.coeffs], self.var)
 
-    def shift(self, n):
-        """Multiply by var^n."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, (0,) * n + self.coeffs, self.var)
-
     def __pow__(self, e):
         result = UniPoly.one(self.field, self.var)
         base = self
@@ -197,9 +183,7 @@ class UniPoly:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(self.field.inv(a.lc))
+        return a.monic()
 
     def monic(self):
         if self.is_zero():
@@ -212,11 +196,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), embed(c) if embed else c)
         return acc
-
-    def derivative(self):
-        f = self.field
-        out = [f.mul(f.from_int(i), c) for i, c in enumerate(self.coeffs)][1:]
-        return UniPoly(f, out, self.var)
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.field == other.field
@@ -257,14 +236,6 @@ class BiPoly:
     @classmethod
     def zero(cls, field):
         return cls(field, {})
-
-    @classmethod
-    def const(cls, field, value):
-        if isinstance(value, FieldElement):
-            value = value.rep
-        else:
-            value = field.from_int(value)
-        return cls(field, {(0, 0): value})
 
     @classmethod
     def one(cls, field):

@@ -125,6 +125,13 @@ class NumericalSemigroup:
             self._gapset = frozenset(self.gaps())
         return self._gapset
 
+    def next_element(self, x):
+        """min{r in S | r >= x}."""
+        r = max(x, 0)
+        while r not in self:
+            r += 1
+        return r
+
     def elements(self, bound):
         """Elements of S up to and including bound, ascending."""
         return [m for m in range(bound + 1) if m in self]
@@ -236,9 +243,7 @@ class NumericalSemigroup:
         q = 2 * c - 2 - m
         if n in self:
             return n
-        n_next = n + 1
-        while n_next not in self:
-            n_next += 1
+        n_next = self.next_element(n + 1)
         delta = n_next - n
         cands = [n + t + self._nu_or_zero(q - t) for t in range(delta - 2)]
         cands.append(n_next)
@@ -255,10 +260,7 @@ class NumericalSemigroup:
 
     def min_formula_rhs(self, m):
         """min{r in S | r >= m + 1 - 2g}."""
-        r = max(0, m + 1 - 2 * self.genus)
-        while r not in self:
-            r += 1
-        return r
+        return self.next_element(m + 1 - 2 * self.genus)
 
     def min_formula_holds(self, m):
         return self.feng_rao(m) == self.min_formula_rhs(m)

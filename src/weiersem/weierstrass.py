@@ -11,7 +11,8 @@ Weierstrass semigroup, hence bases of the spaces L(mP).
 
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, PreconditionError
+from .errors import InconsistencyError, PrecisionCeilingError, \
+    PreconditionError
 from .polynomials import BiPoly, UniPoly
 from .semigroups import NumericalSemigroup
 
@@ -139,7 +140,7 @@ class FunctionTable:
 
     # -- function lookup ---------------------------------------------------
 
-    def function_for(self, r, verify=True):
+    def function_for(self, r):
         """A function with pole order exactly r at infinity: the AM power
         product when r lies in the semigroup at infinity, the Apery
         composite h_i * h_e^l otherwise."""
@@ -153,11 +154,10 @@ class FunctionTable:
             fn = self.slots[i] * self.h_e.pow(l) if l else self.slots[i]
         if fn.value != r:
             raise InconsistencyError("composed function has wrong value")
-        if verify:
-            val = self.oracle.valuation(fn.num, fn.den)
-            if -val.order != r or val.leading.rep != fn.lc:
-                raise InconsistencyError(
-                    f"table function for {r} fails oracle validation")
+        val = self.oracle.valuation(fn.num, fn.den)
+        if -val.order != r or val.leading.rep != fn.lc:
+            raise InconsistencyError(
+                f"table function for {r} fails oracle validation")
         return fn
 
 
@@ -207,6 +207,8 @@ def triangulate(s_infinity, am_functions, integral_basis, oracle):
             break  # value set complete; remaining elements are dependent
         try:
             val = oracle.valuation(num, den)
+        except PrecisionCeilingError:
+            raise
         except PreconditionError as exc:
             raise InconsistencyError(
                 f"integral basis element {idx} is not a function on the "
@@ -217,6 +219,8 @@ def triangulate(s_infinity, am_functions, integral_basis, oracle):
         while g.value > 0 and table.contains(g.value):
             try:
                 g = reduce_step(g, table)
+            except PrecisionCeilingError:
+                raise
             except PreconditionError as exc:
                 raise InconsistencyError(
                     f"integral basis element {idx} reduced to zero; "

@@ -226,3 +226,19 @@ def test_malformed_precision_ceiling_exit_1(monkeypatch, capsys, basis_file,
     assert text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "WEIERSTRASS_PRECISION_CEILING" in err
+
+
+@pytest.mark.parametrize("command", [["weierstrass"], ["lbasis", "--m", "10"]])
+def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
+                                       command):
+    """A valuation of a basis element that needs more terms than the
+    ceiling is a precondition failure, not an inconsistent basis."""
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "64")
+    code, text = _run(command + ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
+                                 "--integral-basis", basis_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert err.count("\n") == 1
+    assert "beyond the ceiling 64" in err

@@ -37,6 +37,8 @@ CASES = {
                                "--y", "0,1,t^2,0,t,1"],
     "hermitian_gf4_weierstrass": ["weierstrass"] + HERMITIAN_GF4,
     "hermitian_gf4_lbasis_m8": ["lbasis"] + HERMITIAN_GF4 + ["--m", "8"],
+    "hermitian_gf4_code_bounds_ext2": ["code", "bounds"] + HERMITIAN_GF4
+                                      + ["--ext", "2", "--m-range", "3:24"],
     "y3_gf9_analyze": ["curve", "analyze", "--field", "GF(3^2)",
                        "--curve", "Y^3+Y+X^4"],
 }

@@ -1,9 +1,16 @@
+import itertools
+import random
+from bisect import bisect_right
+
 import pytest
 
-from weiersem import (FiniteField, PreconditionError, bidim_syndrome,
-                      build_code, distance_bound_table, enumerate_points,
-                      in_code, known_syndromes, min_distance_exact)
-from weiersem.codes import _nullspace
+from weiersem import (FiniteField, PreconditionError, am_sequence,
+                      bidim_syndrome, build_code, distance_bound_table,
+                      enumerate_points, in_code, known_syndromes,
+                      min_distance_exact, normalize_degree, parametrize,
+                      parse_field, parse_poly, semigroup_at_infinity,
+                      triangulate)
+from weiersem.codes import _echelon, _nullspace
 
 
 @pytest.fixture(scope="module")
@@ -221,8 +228,101 @@ def test_min_distance_gates():
     F2 = FiniteField(2)
     from weiersem.codes import CodeSpec
     spec = CodeSpec(m=0, n=30, k=2, rank=1, d_star=0, m_prime=1, fr_bound=1,
-                    t_correct=0, genus=0, row_values=(0,),
+                    t_correct=0, genus=0, row_values=(0,), ranks=(1,),
                     matrix=((1,) * 30,), field=F2, improved=False,
                     points=((0, 0),) * 30)
     with pytest.raises(PreconditionError):
         min_distance_exact(spec)
+
+
+def test_bidim_syndrome_pole_is_named(golden_model, golden_report):
+    """At a pole of f_7 the syndrome fails as build_code does, naming the
+    point, rather than dividing by zero."""
+    pts = enumerate_points(golden_model, FiniteField(2, 2),
+                           include_singular=True)
+    with pytest.raises(PreconditionError, match="pole at point #"):
+        bidim_syndrome(golden_report.table, pts, [1] * len(pts), 7, 7)
+
+
+def _naive_rank(rows, field):
+    """Column-by-column Gaussian elimination; the oracle for _echelon."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for r in range(rank + 1, len(rows)):
+            c = field.mul(rows[r][col], inv)
+            rows[r] = [field.sub(x, field.mul(c, y))
+                       for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_prefix_ranks(table, points, top):
+    """The prefix ranks of C(top) are the ranks of every C(m), m <= top."""
+    spec = build_code(table, points, top)
+    assert spec.ranks == tuple(_naive_rank(spec.matrix[:i + 1], points.field)
+                               for i in range(len(spec.matrix)))
+    for m in range(top + 1):
+        rank = spec.ranks[bisect_right(spec.row_values, m) - 1]
+        if m in table.numerical():
+            assert build_code(table, points, m).rank == rank, m
+    return spec
+
+
+def test_prefix_ranks_golden(golden_report, golden_points):
+    _check_prefix_ranks(golden_report.table, golden_points, 12)
+
+
+def test_prefix_ranks_hermitian_ext2():
+    """Y^2+Y+X^3 over GF(2^2), points over GF(2^4) as `code bounds --ext 2`
+    takes them: the rank stops growing once it reaches n."""
+    F4 = parse_field("GF(2^2)")
+    model = normalize_degree(parse_poly("Y^2+Y+X^3", F4))
+    seq = am_sequence(model)
+    rep = triangulate(semigroup_at_infinity(seq), seq.roots, [],
+                      parametrize(model))
+    points = enumerate_points(model, FiniteField(2, 4))
+    assert _check_prefix_ranks(rep.table, points, 24).rank == len(points)
+
+
+def _dot(field, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
+def test_nullspace_against_bruteforce_kernel(p, k):
+    """On seeded random matrices (some with a dependent row) the nullspace
+    basis spans exactly the kernel found by enumerating F^n, and the prefix
+    ranks match the naive elimination."""
+    F = FiniteField(p, k)
+    q = F.order
+    rng = random.Random(f"nullspace:{p}^{k}")
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        rows = [[rng.randrange(q) for _ in range(n)]
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            c = rng.randrange(q)
+            rows.append([F.add(x, F.mul(c, y))
+                         for x, y in zip(rows[0], rows[-1])])
+        kernel = {v for v in itertools.product(range(q), repeat=n)
+                  if all(_dot(F, r, v) == 0 for r in rows)}
+        null = _nullspace(rows, F)
+        span = set()
+        for coeffs in itertools.product(range(q), repeat=len(null)):
+            vec = [0] * n
+            for c, b in zip(coeffs, null):
+                vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
+            span.add(tuple(vec))
+        assert len(kernel) == q ** len(null)
+        assert span == kernel
+        assert _echelon(rows, F)[1] == [_naive_rank(rows[:i + 1], F)
+                                        for i in range(len(rows))]

@@ -81,6 +81,16 @@ def test_log_tables_match_raw_mul():
             assert F.mul(a, b) == F._raw_mul(a, b)
 
 
+@pytest.mark.parametrize("p,k,generator", [
+    (2, 2, 2), (3, 2, 4), (2, 4, 2), (2, 8, 3), (2, 12, 3), (13, 4, 17),
+    (2, 16, 3), (3, 10, 34),
+])
+def test_generator_rep_pinned(p, k, generator):
+    """The least rep of multiplicative order q - 1, as a full cycle walk
+    finds it."""
+    assert FiniteField(p, k).generator_rep == generator
+
+
 def test_embedding_prime_to_extension():
     F2 = FiniteField(2)
     F8 = FiniteField(2, 3)

@@ -86,7 +86,7 @@ def test_table_revalidates_under_oracle(golden_report, golden_param):
     for i in range(table.e):
         for l in (0, 1, 2):
             r = table.apery[i] + l * table.e
-            fn = table.function_for(r)   # verify=True checks the oracle
+            fn = table.function_for(r)   # function_for checks the oracle
             assert fn.value == r
 
 
