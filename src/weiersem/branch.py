@@ -11,7 +11,11 @@ polynomials the resultant degree provides an independent backend.
 
 The chart map and every blowup are calls of the one substitution
 primitive `BiPoly.substitute_binomial`, and every series product is the
-one coefficient-list multiply `polynomials._list_mul`, truncated.
+one coefficient-list multiply `polynomials._list_mul`, truncated.  Every
+polynomial is evaluated at series by the one Horner kernel `_ser_horner`:
+the Newton step evaluates G and G_s over their Y-coefficients, which are
+already series in t, and the local-equation check nests it once in each
+variable.  The pullbacks keep their cached powers of the chart coordinates.
 """
 
 import os
@@ -86,37 +90,20 @@ def _ser_ord(a):
     return None
 
 
-def _eval_bipoly_series(P, a, b, field, prec):
-    """P(u, v) at u = series a, v = series b (Horner over both slots)."""
-    rows = {}
-    for (i, j), c in P.terms.items():
-        rows.setdefault(i, {})[j] = c
-    zero = [0] * prec
-    acc = zero
-    prev_i = None
-    for i in sorted(rows, reverse=True):
-        if prev_i is not None:
-            for _ in range(prev_i - i):
-                acc = _ser_mul(acc, a, field, prec)
-        row = rows[i]
-        inner = zero
-        prev_j = None
-        for j in sorted(row, reverse=True):
-            if prev_j is not None:
-                for _ in range(prev_j - j):
-                    inner = _ser_mul(inner, b, field, prec)
-            inner = inner[:]
-            inner[0] = field.add(inner[0], row[j])
-            prev_j = j
-        if prev_j:
-            for _ in range(prev_j):
-                inner = _ser_mul(inner, b, field, prec)
-        acc = _ser_add(acc, inner, field)[:prec]
-        prev_i = i
-    if prev_i:
-        for _ in range(prev_i):
-            acc = _ser_mul(acc, a, field, prec)
+def _ser_horner(coeffs, x, field, prec):
+    """The one Horner kernel: sum_j coeffs[j] * x^j for series coeffs[j]
+    (rep lists of any length) and x, truncated to prec terms."""
+    acc = []
+    for c in reversed(coeffs):
+        acc = _ser_add(_ser_mul(acc, x, field, prec), c[:prec], field)
     return _ser_pad(acc, prec)
+
+
+def _eval_bipoly_series(P, a, b, field, prec):
+    """P(a, b) for series a, b: Horner in b over the Y-coefficients of P,
+    each evaluated at a."""
+    return _ser_horner([_ser_horner([[c] for c in row.coeffs], a, field, prec)
+                        for row in P.y_coeffs()], b, field, prec)
 
 
 # -- tangent detection -----------------------------------------------------
@@ -285,22 +272,22 @@ class BranchParam:
         G = self._Gterm
         if self._mode == "u_of_v":
             G = G.swap_xy()
-        t_series = _ser_pad([0, 1], prec)
-        Gv = G.derivative_y()
+        # the Y-coefficients of G are polynomials in t, i.e. series in t
+        rows = [list(c.coeffs) for c in G.y_coeffs()]
+        drows = [list(c.coeffs) for c in G.derivative_y().y_coeffs()]
         s = [0]
         cur = 1
         while cur < prec:
             cur = min(2 * cur, prec)
-            sc = _ser_pad(s, cur)
-            g_at = _eval_bipoly_series(G, t_series[:cur], sc, field, cur)
-            gv_at = _eval_bipoly_series(Gv, t_series[:cur], sc, field, cur)
-            corr = _ser_mul(g_at, _ser_inv(gv_at, field, cur), field, cur)
-            s = [field.sub(x, y) for x, y in zip(sc, corr)]
+            s = _ser_pad(s, cur)
+            g_at = _ser_horner(rows, s, field, cur)
+            gs_at = _ser_horner(drows, s, field, cur)
+            corr = _ser_mul(g_at, _ser_inv(gs_at, field, cur), field, cur)
+            s = [field.sub(x, y) for x, y in zip(s, corr)]
         s = _ser_pad(s, prec)
-        check = _eval_bipoly_series(G, t_series, s, field, prec)
-        if any(check):
+        if any(_ser_horner(rows, s, field, prec)):
             raise InconsistencyError("terminal Newton expansion failed")
-        return t_series, s
+        return _ser_pad([0, 1], prec), s
 
     def _compute_series(self, prec):
         if prec > self.ceiling:
@@ -334,6 +321,10 @@ class BranchParam:
         self._a = a
         ord_v = _ser_ord(v)
         if ord_v is None:
+            if prec >= self.ceiling:
+                raise PrecisionCeilingError(
+                    f"v(t) vanished to working precision {prec}, the "
+                    f"ceiling {self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
             raise InconsistencyError("v(t) vanished to working precision")
         self.pole_order = ord_v       # ord_t of the chart coordinate Z/X
         self._lc_v = v[ord_v]

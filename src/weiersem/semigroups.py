@@ -83,7 +83,10 @@ class NumericalSemigroup:
                     raise PreconditionError(
                         f"Apery array not closed: a_{i}+a_{j} < a_{(i+j) % e}")
         if gens is None:
-            gens = sorted({e} | {a for a in apery if a})
+            # a minimal generator other than e is the least of its class
+            S = cls(e, apery, ())
+            gens = sorted(q for q in {e, *apery}
+                          if S.is_irreducible_element(q))
         return cls(e, apery, gens)
 
     # -- basic structure --------------------------------------------------

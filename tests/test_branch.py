@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from weiersem import (BiPoly, InputError, PreconditionError,
-                      normalize_degree, parse_field, parse_poly,
-                      parse_rational, parametrize, valuation,
-                      valuation_by_resultant)
-from weiersem.branch import DEFAULT_PRECISION_CEILING, precision_ceiling
+from weiersem import (BiPoly, FiniteField, InconsistencyError, InputError,
+                      PreconditionError, branch, normalize_degree,
+                      parse_field, parse_poly, parse_rational, parametrize,
+                      valuation, valuation_by_resultant)
+from weiersem.branch import (DEFAULT_PRECISION_CEILING, _eval_bipoly_series,
+                             _ser_add, _ser_horner, _ser_mul, _ser_pad,
+                             precision_ceiling)
+from weiersem.polynomials import _KRONECKER_CUTOFF
 
 F5 = parse_field("GF(5)")
 F7 = parse_field("GF(7)")
@@ -230,3 +233,82 @@ def test_extension_field_parametrization():
     # the chart-y local equation over an extension field
     _, param = _check_against_resultants(F4, "X^5+Y^3+[t]", None, 5)
     assert param.chart == "y"
+
+
+# -- the Horner kernel against term-by-term evaluation -----------------------
+
+def _naive_powers(x, field, prec, n):
+    """[x^0, ..., x^n] by repeated series products."""
+    powers = [_ser_pad([1], prec)]
+    for _ in range(n):
+        powers.append(_ser_mul(powers[-1], x, field, prec))
+    return powers
+
+
+def _random_series(rng, field, length, density=0.6):
+    return [rng.randrange(field.order) if rng.random() < density else 0
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("field", [FiniteField(7), FiniteField(2, 2),
+                                   FiniteField(3, 2)], ids=repr)
+@pytest.mark.parametrize("prec", [5, 20])
+def test_ser_horner_against_naive(field, prec):
+    # 5*5 < _KRONECKER_CUTOFF <= 20*20: both _list_mul paths over GF(7)
+    assert (prec * prec >= _KRONECKER_CUTOFF) == (prec == 20)
+    rng = random.Random(31 * prec + field.order)
+    for _ in range(8):
+        # coefficient series shorter and longer than prec, some empty
+        coeffs = [_random_series(rng, field, rng.randrange(2 * prec + 3))
+                  for _ in range(rng.randrange(7))]
+        x = _random_series(rng, field, rng.randrange(1, prec + 4))
+        expected = [0] * prec
+        for c, xj in zip(coeffs, _naive_powers(x, field, prec, len(coeffs))):
+            expected = _ser_add(expected, _ser_mul(c, xj, field, prec), field)
+        assert _ser_horner(coeffs, x, field, prec) == expected
+
+
+@pytest.mark.parametrize("field", [FiniteField(7), FiniteField(2, 2),
+                                   FiniteField(3, 2)], ids=repr)
+@pytest.mark.parametrize("prec", [5, 20])
+def test_eval_bipoly_series_against_naive(field, prec):
+    rng = random.Random(17 * prec + field.order)
+    for _ in range(6):
+        P = _random_poly(rng, field, rng.randrange(5), rng.randrange(5))
+        P = BiPoly(field, {k: c for k, c in P.terms.items()
+                           if rng.random() < 0.6})      # sparse
+        a = _random_series(rng, field, rng.randrange(1, prec + 4))
+        b = _random_series(rng, field, rng.randrange(1, prec + 4))
+        pa = _naive_powers(a, field, prec, 4)
+        pb = _naive_powers(b, field, prec, 4)
+        expected = [0] * prec
+        for (i, j), c in P.terms.items():
+            term = [field.mul(c, t) for t in _ser_mul(pa[i], pb[j], field,
+                                                      prec)]
+            expected = _ser_add(expected, term, field)
+        assert _eval_bipoly_series(P, a, b, field, prec) == expected
+
+
+@pytest.mark.parametrize("field_text, curve", [
+    ("GF(2)", "Y^8+Y^2+X^3"),         # blowups, then Newton
+    ("GF(5)", "Y^2+X^3"),
+    ("GF(2^2)", "X^5+Y^3+[t]"),       # chart y
+])
+def test_local_equation_check_fires(monkeypatch, field_text, curve):
+    """A wrong low-order coefficient of the Newton series cannot slip
+    through: the full-precision local-equation check rejects it."""
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    solve = branch.BranchParam._newton_solve
+
+    def flipped(self, prec):
+        t_series, s = solve(self, prec)
+        s = list(s)
+        s[1] = field.add(s[1], 1)
+        return t_series, s
+
+    monkeypatch.setattr(branch.BranchParam, "_newton_solve", flipped)
+    with pytest.raises(InconsistencyError,
+                       match="parametrization does not annihilate the "
+                             "local equation"):
+        parametrize(model, precision=32)

@@ -1,4 +1,5 @@
 import io
+import re
 import subprocess
 import sys
 
@@ -228,12 +229,24 @@ def test_malformed_precision_ceiling_exit_1(monkeypatch, capsys, basis_file,
     assert "WEIERSTRASS_PRECISION_CEILING" in err
 
 
-@pytest.mark.parametrize("command", [["weierstrass"], ["lbasis", "--m", "10"]])
+_WEIERSTRASS, _LBASIS = ["weierstrass"], ["lbasis", "--m", "10"]
+
+
+@pytest.mark.parametrize("command, ceiling", [
+    pytest.param(_WEIERSTRASS, 64, id="command0"),
+    pytest.param(_LBASIS, 64, id="command1"),
+    pytest.param(_WEIERSTRASS, 4, id="weierstrass-4"),
+    pytest.param(_LBASIS, 4, id="lbasis-4"),
+    pytest.param(_WEIERSTRASS, 9, id="weierstrass-9"),
+    pytest.param(_LBASIS, 9, id="lbasis-9"),
+])
 def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
-                                       command):
+                                       command, ceiling):
     """A valuation of a basis element that needs more terms than the
-    ceiling is a precondition failure, not an inconsistent basis."""
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "64")
+    ceiling is a precondition failure, not an inconsistent basis; so is a
+    start precision clamped so low (4 to 9 terms on the golden curve) that
+    the chart coordinate v(t) vanishes to it."""
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", str(ceiling))
     code, text = _run(command + ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
                                  "--integral-basis", basis_file])
     err = capsys.readouterr().err
@@ -241,4 +254,6 @@ def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
     assert text == ""
     assert err.startswith("error: ") and err.count("error:") == 1
     assert err.count("\n") == 1
-    assert "beyond the ceiling 64" in err
+    assert re.search(rf"\bceiling {ceiling}\b", err)
+    if ceiling == 64:
+        assert "valuation needs precision 67 beyond the ceiling 64" in err

@@ -1,11 +1,15 @@
 """Byte-for-byte CLI stdout against recorded golden files.
 
 The recordings in tests/data/cli_golden/*.out pin the full stdout of the
-README commands on the golden curve plus two extension-field runs, so a
-refactor of the arithmetic kernels cannot change any printed digit.
-Re-record (only when an output change is intended) with
+README commands on the golden curve plus extension-field runs (among them
+the Newton expansion after blowups over GF(3^2) and the chart-y branch
+over GF(2^2)), so a refactor of the arithmetic kernels cannot change any
+printed digit.  Re-record (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_cli_golden.py --record
+    PYTHONPATH=src python tests/test_cli_golden.py --record [NAME ...]
+
+which re-records the named cases, or every case when none is named; an
+unknown name is a usage error (exit status 2) and records nothing.
 """
 
 import io
@@ -41,6 +45,13 @@ CASES = {
                                       + ["--ext", "2", "--m-range", "3:24"],
     "y3_gf9_analyze": ["curve", "analyze", "--field", "GF(3^2)",
                        "--curve", "Y^3+Y+X^4"],
+    "y3_gf9_lbasis_m16": ["lbasis", "--field", "GF(3^2)",
+                          "--curve", "Y^3+Y+X^4", "--integral-basis",
+                          os.path.join(DATA, "empty_basis.txt"),
+                          "--m", "16"],
+    "chart_y_gf4_weierstrass": ["weierstrass", "--field", "GF(2^2)",
+                                "--curve", "X^5+Y^3+[t]", "--integral-basis",
+                                os.path.join(DATA, "empty_basis.txt")],
 }
 
 
@@ -58,12 +69,35 @@ def test_cli_stdout_matches_recording(name):
         assert text == fh.read()
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_cli_golden.py --record")
-    for name, argv in sorted(CASES.items()):
-        code, text = _stdout(argv)
+def test_record_rejects_unknown_name(capsys):
+    assert _record(["--record", "golden_analyze", "no_such_case"]) == 2
+    assert _record([]) == 2
+    err = capsys.readouterr().err
+    assert "unknown case: no_such_case;" in err
+    assert err.count("usage: test_cli_golden.py --record [NAME ...]") == 2
+
+
+def _record(args):
+    """Re-record the named cases (all when none is named); 2 on misuse."""
+    usage = "usage: test_cli_golden.py --record [NAME ...]"
+    if args[:1] != ["--record"]:
+        print(usage, file=sys.stderr)
+        return 2
+    names = args[1:] or sorted(CASES)
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        print(f"{usage}\nunknown case: {', '.join(unknown)}; known: "
+              f"{', '.join(sorted(CASES))}", file=sys.stderr)
+        return 2
+    for name in names:
+        code, text = _stdout(CASES[name])
         if code != 0:
-            sys.exit(f"{name}: exit code {code}")
+            print(f"{name}: exit code {code}", file=sys.stderr)
+            return 1
         with open(os.path.join(DATA, name + ".out"), "wb") as fh:
             fh.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_record(sys.argv[1:]))

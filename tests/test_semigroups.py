@@ -47,6 +47,36 @@ def test_from_apery_validation():
         NumericalSemigroup.from_apery(3, [0, 7, 2])   # not closed (2+2 < 7)
 
 
+def _minimal_generators_bruteforce(S):
+    """Scan S upwards, keeping each element that no sum of the generators
+    kept so far reaches (every minimal generator is below max_apery + e)."""
+    bound = S.max_apery + S.e
+    reach = [True] + [False] * bound
+    gens = []
+    for m in range(1, bound + 1):
+        if m in S and not reach[m]:
+            gens.append(m)
+            for x in range(m, bound + 1):
+                reach[x] = reach[x] or reach[x - m]
+    return gens
+
+
+def test_from_apery_minimal_generators():
+    S = NumericalSemigroup.from_apery(3, [0, 4, 8])
+    assert S.gens == (3, 4)
+    rng = random.Random(515)
+    for _ in range(40):
+        gens, G = random_semigroup_gens(rng)
+        expected = _minimal_generators_bruteforce(G)
+        assert list(NumericalSemigroup.from_apery(G.e, G.apery).gens) == \
+            expected, gens
+        # a pivot other than the multiplicity is no generator when reducible
+        pivot = rng.choice(G.elements(G.conductor + 2 * G.e)[1:])
+        P = NumericalSemigroup.from_generators(gens, pivot=pivot)
+        assert list(NumericalSemigroup.from_apery(P.e, P.apery).gens) == \
+            expected, (gens, pivot)
+
+
 # -- Apery relations and nu -----------------------------------------------------
 
 def test_alpha_zero_row():

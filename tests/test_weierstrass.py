@@ -14,6 +14,7 @@ def test_golden_gamma(golden_report):
     assert sorted(golden_report.gamma.gaps()) == [1, 2, 5]
     assert golden_report.genus == 3
     assert golden_report.gamma.conductor == 6
+    assert str(golden_report.gamma) == "<3,4>"
 
 
 def test_golden_reduction_trace(golden_report):
