@@ -138,15 +138,6 @@ def _pure_power_root(coeffs, mu, field):
     return lam if check.coeffs == tuple(cs) else None
 
 
-def _lowest_form(G):
-    mu = min(i + j for i, j in G.terms)
-    coeffs = [0] * (mu + 1)
-    for (i, j), c in G.terms.items():
-        if i + j == mu:
-            coeffs[j] = c
-    return mu, coeffs
-
-
 @dataclass(frozen=True)
 class _Step:
     kind: str   # 'v': (u,v) <- (u, u*(v+lam));  'u': (u,v) <- (v*u, v)
@@ -154,7 +145,8 @@ class _Step:
 
 
 def _tangent_step(G, field):
-    mu, coeffs = _lowest_form(G)
+    mu = min(i + j for i, j in G.terms)
+    coeffs = G.form_coeffs(mu)
     if mu == 0:
         raise InconsistencyError("blowup center is not on the curve")
     if mu == 1:
@@ -187,10 +179,7 @@ def _infinity_chart(F):
     chart 'y' is Y=1 with the point at (0:1:0)."""
     field = F.field
     D = int(F.total_degree)
-    phi = F.degree_form()
-    coeffs = [0] * (D + 1)
-    for (i, j), c in phi.terms.items():
-        coeffs[j] = c
+    coeffs = F.form_coeffs(D)
     deg = max(j for j, c in enumerate(coeffs) if c)
     if deg == D:
         lam = _pure_power_root(coeffs, D, field)
@@ -311,6 +300,14 @@ class BranchParam:
         if any(check):
             raise InconsistencyError("parametrization does not annihilate "
                                      "the local equation")
+        ord_v = _ser_ord(v)
+        if ord_v is None:
+            if prec >= self.ceiling:
+                raise PrecisionCeilingError(
+                    f"v(t) vanished to working precision {prec}, the "
+                    f"ceiling {self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
+            self._compute_series(min(2 * prec, self.ceiling))
+            return
         self.u = u
         self.v = v
         self.precision = prec
@@ -319,13 +316,6 @@ class BranchParam:
         a = u[:]
         a[0] = field.add(a[0], self.lam)
         self._a = a
-        ord_v = _ser_ord(v)
-        if ord_v is None:
-            if prec >= self.ceiling:
-                raise PrecisionCeilingError(
-                    f"v(t) vanished to working precision {prec}, the "
-                    f"ceiling {self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
-            raise InconsistencyError("v(t) vanished to working precision")
         self.pole_order = ord_v       # ord_t of the chart coordinate Z/X
         self._lc_v = v[ord_v]
 

@@ -2,11 +2,14 @@
 
 The code C(m) is represented by its parity-check (evaluation) matrix: one
 row per basis function of L(mP), evaluated at rational points enumerated
-over a chosen extension field.  The basis is ordered by pole order, so the
-rows of C(m) are a prefix of the rows of C(m') for every m <= m': one exact
-row-insertion elimination of the largest matrix gives the rank of every
-C(m) at once.  Designed distances combine the Goppa bound with the Feng-Rao
-distance of the Weierstrass semigroup.
+over a chosen extension field.  Every polynomial is lifted into that field
+once and evaluated by specializing X, then Horner in Y: the point scan
+specializes F(x, Y) once per x, and a row evaluates num and den at each
+point.  The basis is ordered by pole order, so the rows of C(m) are a
+prefix of the rows of C(m') for every m <= m': one exact row-insertion
+elimination of the largest matrix gives the rank of every C(m) at once.
+Designed distances combine the Goppa bound with the Feng-Rao distance of
+the Weierstrass semigroup.
 """
 
 import itertools
@@ -63,15 +66,17 @@ def _nullspace(rows, field):
     return out
 
 
-def _value(fn, idx, x, y, ext, embed):
-    """f(P) for the point #idx = (x, y) over ext; a pole there is a
-    precondition failure."""
-    dv = fn.den.eval_rep(x, y, target=ext, embed=embed)
-    if dv == 0:
-        raise PreconditionError(
-            f"basis function of pole order {fn.value} has a pole at "
-            f"point #{idx} = ({ext.format_rep(x)}, {ext.format_rep(y)})")
-    return ext.div(fn.num.eval_rep(x, y, target=ext, embed=embed), dv)
+def _values(fn, indexed_points, ext, embed):
+    """f(P) over ext at each (idx, (x, y)), with num and den lifted into
+    ext once; a pole at point #idx is a precondition failure."""
+    num, den = fn.num.lift(ext, embed), fn.den.lift(ext, embed)
+    for idx, (x, y) in indexed_points:
+        dv = den.eval_rep(x, y)
+        if dv == 0:
+            raise PreconditionError(
+                f"basis function of pole order {fn.value} has a pole at "
+                f"point #{idx} = ({ext.format_rep(x)}, {ext.format_rep(y)})")
+        yield ext.div(num.eval_rep(x, y), dv)
 
 
 @dataclass(frozen=True)
@@ -94,22 +99,22 @@ def enumerate_points(model, ext_field, avoid=(), include_singular=False):
     singular points of the plane model are skipped by default since a
     single evaluation cannot separate the branches above them.
     """
-    base = model.field
-    embed = base.embedding_into(ext_field)
+    embed = model.field.embedding_into(ext_field)
     F = model.equation
-    Fx = F.derivative_x()
-    Fy = F.derivative_y()
+    F, Fx, Fy = (P.lift(ext_field, embed)
+                 for P in (F, F.derivative_x(), F.derivative_y()))
+    avoid = [a.lift(ext_field, embed) for a in avoid]
     pts = []
     for x in range(ext_field.order):
+        f, fx, fy = (P.specialize_x(x) for P in (F, Fx, Fy))
+        avoid_x = [a.specialize_x(x) for a in avoid]
         for y in range(ext_field.order):
-            if F.eval_rep(x, y, target=ext_field, embed=embed):
+            if f.eval_rep(y):
                 continue
             if not include_singular:
-                if (Fx.eval_rep(x, y, target=ext_field, embed=embed) == 0 and
-                        Fy.eval_rep(x, y, target=ext_field, embed=embed) == 0):
+                if fx.eval_rep(y) == 0 and fy.eval_rep(y) == 0:
                     continue
-            if any(a.eval_rep(x, y, target=ext_field, embed=embed) == 0
-                   for a in avoid):
+            if any(a.eval_rep(y) == 0 for a in avoid_x):
                 continue
             pts.append((x, y))
     return EvaluationSet(field=ext_field, points=tuple(pts), model=model)
@@ -157,8 +162,7 @@ def build_code(table, points, m, improved=False):
                  if tel.contains(r)]
     else:
         funcs = l_basis(table, m)
-    matrix = tuple(tuple(_value(fn, idx, x, y, ext, embed)
-                         for idx, (x, y) in enumerate(points.points))
+    matrix = tuple(tuple(_values(fn, enumerate(points.points), ext, embed))
                    for fn in funcs)
     _, ranks = _echelon(matrix, ext)
     n = len(points.points)
@@ -194,14 +198,13 @@ def bidim_syndrome(table, points, error, i, j):
     """s_(i,j)(e) = sum_k e_k f_i(P_k) f_j(P_k) by direct summation."""
     ext = points.field
     embed = table.oracle.field.embedding_into(ext)
-    fi = table.function_for(i)
-    fj = table.function_for(j)
+    support = [(idx, pt) for idx, (ek, pt) in
+               enumerate(zip(error, points.points)) if ek]
+    vi = _values(table.function_for(i), support, ext, embed)
+    vj = _values(table.function_for(j), support, ext, embed)
     acc = 0
-    for idx, (ek, (x, y)) in enumerate(zip(error, points.points)):
-        if ek:
-            vi = _value(fi, idx, x, y, ext, embed)
-            vj = _value(fj, idx, x, y, ext, embed)
-            acc = ext.add(acc, ext.mul(ek, ext.mul(vi, vj)))
+    for (idx, _), a, b in zip(support, vi, vj):
+        acc = ext.add(acc, ext.mul(error[idx], ext.mul(a, b)))
     return acc
 
 

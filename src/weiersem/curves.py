@@ -55,10 +55,7 @@ def _tilt(G):
     D = int(G.total_degree)
     if D < 2 or G.deg_y != D:
         return 0
-    coeffs = [0] * (D + 1)
-    for (i, j), c in G.degree_form().terms.items():
-        coeffs[j] = c
-    lam = _pure_power_root(coeffs, D, G.field)
+    lam = _pure_power_root(G.form_coeffs(D), D, G.field)
     return lam if lam is not None else 0
 
 

@@ -256,29 +256,13 @@ class FiniteField:
         if other.p != self.p or other.k % self.k != 0:
             raise PreconditionError(
                 f"no embedding GF({self.p}^{self.k}) -> GF({other.p}^{other.k})")
-        if self.k == 1:
-            return lambda rep: rep % other.p
-        root = None
-        for cand in range(other.order):
-            acc = 0
-            for c in reversed(self.modulus):
-                acc = other.add(other.mul(acc, cand), c % other.p)
-            if acc == 0:
-                root = cand
-                break
+        from .polynomials import UniPoly
+        modulus = UniPoly(other, self.modulus)
+        root = next((c for c in range(other.order)
+                     if modulus.eval_rep(c) == 0), None)
         if root is None:
             raise InconsistencyError("modulus has no root in the extension")
-        powers = [1]
-        for _ in range(self.k - 1):
-            powers.append(other.mul(powers[-1], root))
-
-        def embed(rep):
-            acc = 0
-            for c, pw in zip(self.decode(rep), powers):
-                acc = other.add(acc, other.mul(c, pw))
-            return acc
-
-        return embed
+        return lambda rep: UniPoly(other, self.decode(rep)).eval_rep(root)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and self.p == other.p

@@ -5,8 +5,9 @@ the polynomial arithmetic: `_list_mul` is the one coefficient-list multiply
 (UniPoly products, hence the Rabin test in `fields`, and the truncated
 series products in `branch`), and `BiPoly.substitute_binomial` is the one
 linear change of variables (X -> X + c*Y^k, Y -> Y + c*X, every blowup and
-chart map).  The
-Y-resultant of two bivariate polynomials is computed by Brown's
+chart map).  A value at a point is the one Horner `UniPoly.eval_rep`; a
+bivariate polynomial is first specialized at X (`BiPoly.specialize_x`).
+The Y-resultant of two bivariate polynomials is computed by Brown's
 subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X];
 the zero resultant is reported with the degree sentinel -inf, which the
 callers rely on as the common-factor signal.
@@ -190,11 +191,12 @@ class UniPoly:
             return self
         return self.scale(self.field.inv(self.lc))
 
-    def eval_rep(self, x, target=None, embed=None):
-        f = target or self.field
+    def eval_rep(self, x):
+        """The one Horner kernel: value at a field rep x."""
+        f = self.field
         acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), embed(c) if embed else c)
+            acc = f.add(f.mul(acc, x), c)
         return acc
 
     def __eq__(self, other):
@@ -346,12 +348,14 @@ class BiPoly:
     def swap_xy(self):
         return BiPoly(self.field, {(j, i): c for (i, j), c in self.terms.items()})
 
-    def homogeneous_part(self, d):
-        return BiPoly(self.field,
-                      {k: c for k, c in self.terms.items() if k[0] + k[1] == d})
+    def form_coeffs(self, d):
+        """The degree-d form as [coeff of X^(d-j)*Y^j for j in 0..d]."""
+        return [self.terms.get((d - j, j), 0) for j in range(d + 1)]
 
-    def degree_form(self):
-        return self.homogeneous_part(self.total_degree)
+    def lift(self, field, embed):
+        """The same polynomial over `field`, coefficients mapped by the
+        embedding `embed` (rep -> rep) once."""
+        return BiPoly(field, {k: embed(c) for k, c in self.terms.items()})
 
     # -- operations -----------------------------------------------------
 
@@ -425,26 +429,17 @@ class BiPoly:
                     out[(i, j - 1)] = v
         return BiPoly(f, out)
 
-    def eval_rep(self, x, y, target=None, embed=None):
-        """Value at a point, optionally through an embedding into `target`."""
-        f = target or self.field
-        by_j = {}
+    def specialize_x(self, x):
+        """P(x, Y) as a polynomial in Y, for a field rep x."""
+        f = self.field
+        out = [0] * (self.deg_y + 1 if self.terms else 0)
         for (i, j), c in self.terms.items():
-            by_j.setdefault(j, []).append((i, c))
-        acc = 0
-        prev = None
-        for j in sorted(by_j, reverse=True):
-            if prev is not None:
-                acc = f.mul(acc, f.pow_rep(y, prev - j))
-            inner = 0
-            for i, c in by_j[j]:
-                term = f.mul(embed(c) if embed else c, f.pow_rep(x, i))
-                inner = f.add(inner, term)
-            acc = f.add(acc, inner)
-            prev = j
-        if prev is not None and prev > 0:
-            acc = f.mul(acc, f.pow_rep(y, prev))
-        return acc
+            out[j] = f.add(out[j], f.mul(c, f.pow_rep(x, i)))
+        return UniPoly(f, out, "Y")
+
+    def eval_rep(self, x, y):
+        """Value at the point (x, y): specialize X, then Horner in Y."""
+        return self.specialize_x(x).eval_rep(y)
 
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and self.field == other.field

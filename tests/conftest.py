@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -6,6 +7,17 @@ import pytest
 from weiersem import (am_sequence, normalize_degree, parametrize, parse_field,
                       parse_poly, parse_rational, semigroup_at_infinity,
                       triangulate)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def pytest_configure(config):
+    """Child interpreters (the console-script test) import the package from
+    the checkout, as the `pythonpath` setting lets this one."""
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
 
 GOLDEN_BASIS_LINES = [
     "Y+Y^7 / X+Y^3",

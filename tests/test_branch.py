@@ -78,6 +78,17 @@ def test_am_roots_match_deltas(golden_param, golden_seq):
         assert -valuation(golden_param, root).order == delta
 
 
+@pytest.mark.parametrize("precision", [4, 9])
+def test_low_start_precision_refines(golden_model, golden_param, golden_seq,
+                                     precision):
+    """A start precision at or below the pole order of v (9 on the golden
+    curve) doubles until v(t) shows, instead of failing."""
+    param = parametrize(golden_model, precision=precision)
+    assert param.pole_order == golden_param.pole_order == 9
+    for root in golden_seq.roots:
+        assert valuation(param, root) == valuation(golden_param, root)
+
+
 def _random_poly(rng, field, dx, dy):
     terms = {}
     for i in range(dx + 1):

@@ -49,6 +49,10 @@ CASES = {
                           "--curve", "Y^3+Y+X^4", "--integral-basis",
                           os.path.join(DATA, "empty_basis.txt"),
                           "--m", "16"],
+    "y3_gf9_code_build_ext2": ["code", "build", "--field", "GF(3^2)",
+                               "--curve", "Y^3+Y+X^4", "--integral-basis",
+                               os.path.join(DATA, "empty_basis.txt"),
+                               "--ext", "2", "--m", "12", "--format", "csv"],
     "chart_y_gf4_weierstrass": ["weierstrass", "--field", "GF(2^2)",
                                 "--curve", "X^5+Y^3+[t]", "--integral-basis",
                                 os.path.join(DATA, "empty_basis.txt")],
@@ -67,6 +71,12 @@ def test_cli_stdout_matches_recording(name):
     assert code == 0
     with open(os.path.join(DATA, name + ".out"), "rb") as fh:
         assert text == fh.read()
+
+
+def test_every_recording_has_a_case():
+    recorded = {f[:-len(".out")] for f in os.listdir(DATA)
+                if f.endswith(".out")}
+    assert sorted(recorded - set(CASES)) == []
 
 
 def test_record_rejects_unknown_name(capsys):

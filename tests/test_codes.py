@@ -35,10 +35,9 @@ def test_point_enumeration(golden_model, golden_points, gf8):
     # 8 affine points of which 2 are singular
     assert len(golden_points) == 6
     base = golden_model.field
-    embed = base.embedding_into(gf8)
-    F = golden_model.equation
+    F = golden_model.equation.lift(gf8, base.embedding_into(gf8))
     for x, y in golden_points.points:
-        assert F.eval_rep(x, y, target=gf8, embed=embed) == 0
+        assert F.eval_rep(x, y) == 0
 
 
 def test_singular_points_excluded(golden_model, gf8):
@@ -103,14 +102,14 @@ def test_bidim_syndrome_spot_values(golden_report, golden_points, gf8):
     for i, j in ((3, 3), (3, 4), (0, 6)):
         fi = table.function_for(i)
         fj = table.function_for(j)
+        fi_num, fi_den = fi.num.lift(gf8, embed), fi.den.lift(gf8, embed)
+        fj_num, fj_den = fj.num.lift(gf8, embed), fj.den.lift(gf8, embed)
         expected = 0
         for ek, (x, y) in zip(err, golden_points.points):
             if not ek:
                 continue
-            vi = gf8.div(fi.num.eval_rep(x, y, target=gf8, embed=embed),
-                         fi.den.eval_rep(x, y, target=gf8, embed=embed))
-            vj = gf8.div(fj.num.eval_rep(x, y, target=gf8, embed=embed),
-                         fj.den.eval_rep(x, y, target=gf8, embed=embed))
+            vi = gf8.div(fi_num.eval_rep(x, y), fi_den.eval_rep(x, y))
+            vj = gf8.div(fj_num.eval_rep(x, y), fj_den.eval_rep(x, y))
             expected = gf8.add(expected, gf8.mul(ek, gf8.mul(vi, vj)))
         assert bidim_syndrome(table, golden_points, err, i, j) == expected
 
@@ -326,3 +325,87 @@ def test_nullspace_against_bruteforce_kernel(p, k):
         assert span == kernel
         assert _echelon(rows, F)[1] == [_naive_rank(rows[:i + 1], F)
                                         for i in range(len(rows))]
+
+
+def _naive_value(P, x, y, ext, embed):
+    """sum embed(c) * x^i * y^j over the terms of P, embedding every
+    coefficient at every evaluation; the oracle for the lifted kernel."""
+    acc = 0
+    for (i, j), c in P.terms.items():
+        term = ext.mul(ext.pow_rep(x, i), ext.pow_rep(y, j))
+        acc = ext.add(acc, ext.mul(embed(c), term))
+    return acc
+
+
+def _brute_points(model, ext, avoid, include_singular):
+    embed = model.field.embedding_into(ext)
+    F = model.equation
+    Fx, Fy = F.derivative_x(), F.derivative_y()
+    pts = []
+    for x in range(ext.order):
+        for y in range(ext.order):
+            if _naive_value(F, x, y, ext, embed):
+                continue
+            if not include_singular and \
+                    _naive_value(Fx, x, y, ext, embed) == 0 and \
+                    _naive_value(Fy, x, y, ext, embed) == 0:
+                continue
+            if any(_naive_value(a, x, y, ext, embed) == 0 for a in avoid):
+                continue
+            pts.append((x, y))
+    return tuple(pts)
+
+
+@pytest.mark.parametrize("field_text, curve, e, avoid_texts", [
+    ("GF(2)", "Y^8+Y^2+X^3", 4, ["X+Y^3", "Y^2+Y+1", "X^4+X^3+1"]),
+    ("GF(2^2)", "Y^2+Y+X^3", 2, ["X+[t]", "Y^2+X*Y+1"]),
+    ("GF(3^2)", "Y^3+Y+X^4", 2, ["X-Y", "Y^2+[t]"]),
+    ("GF(5)", "Y^2+X^3+1", 2, ["X+2*Y+1"]),
+])
+@pytest.mark.parametrize("include_singular", [False, True])
+def test_enumerate_points_against_bruteforce(field_text, curve, e,
+                                             avoid_texts, include_singular):
+    """The lifted, once-per-x specialized scan keeps the same points in
+    the same order as a scan that embeds every coefficient at every
+    evaluation, with and without `avoid`."""
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    ext = FiniteField(field.p, field.k * e)
+    avoid = [parse_poly(a, field) for a in avoid_texts]
+    kept = []
+    for av in ((), avoid):
+        pts = enumerate_points(model, ext, avoid=av,
+                               include_singular=include_singular).points
+        assert pts == _brute_points(model, ext, av, include_singular)
+        kept.append(len(pts))
+    assert kept[1] < kept[0]
+
+
+def test_bidim_syndrome_evaluates_only_the_error_support(golden_model,
+                                                         golden_report, gf8):
+    """f_7 has poles at the singular points #0 and #1 of the unfiltered
+    GF(8) scan: an error supported away from them gives the direct sum,
+    and an error at #1 names #1, not its place in the support."""
+    table = golden_report.table
+    pts = enumerate_points(golden_model, gf8, include_singular=True)
+    assert pts.points[:2] == ((0, 0), (1, 1))
+    embed = table.oracle.field.embedding_into(gf8)
+    rng = random.Random("bidim-support")
+    for i, j in ((7, 7), (7, 3), (4, 7)):
+        fi, fj = table.function_for(i), table.function_for(j)
+        err = [0, 0] + [rng.choice([0, 1, 2, 5, 7]) for _ in pts.points[2:]]
+        err[rng.randrange(2, len(err))] = 3
+        expected = 0
+        for ek, (x, y) in zip(err, pts.points):
+            if ek:
+                vi = gf8.div(_naive_value(fi.num, x, y, gf8, embed),
+                             _naive_value(fi.den, x, y, gf8, embed))
+                vj = gf8.div(_naive_value(fj.num, x, y, gf8, embed),
+                             _naive_value(fj.den, x, y, gf8, embed))
+                expected = gf8.add(expected, gf8.mul(ek, gf8.mul(vi, vj)))
+        assert bidim_syndrome(table, pts, err, i, j) == expected
+        err[1] = 6
+        with pytest.raises(PreconditionError,
+                           match=rf"pole order {i} has a pole at point #1 = "
+                                 r"\(1, 1\)$"):
+            bidim_syndrome(table, pts, err, i, j)

@@ -250,3 +250,46 @@ def test_substitute_x_is_a_ring_map(field):
                 shift = field.pow_rep(y, k)
                 moved = field.add(x, shift) if sign > 0 else field.sub(x, shift)
                 assert S.eval_rep(x, y) == P.eval_rep(moved, y)
+
+
+def _naive_eval(P, x, y):
+    """sum c * x^i * y^j over the terms; the oracle for eval_rep."""
+    f = P.field
+    acc = 0
+    for (i, j), c in P.terms.items():
+        acc = f.add(acc, f.mul(c, f.mul(f.pow_rep(x, i), f.pow_rep(y, j))))
+    return acc
+
+
+@pytest.mark.parametrize("field", _ring_map_fields(), ids=repr)
+def test_eval_rep_against_naive_sum(field):
+    """specialize_x followed by Horner in Y, and eval_rep, equal the naive
+    term sum at every point."""
+    rng = random.Random(f"eval:{field!r}")
+    polys = [BiPoly.zero(field)] + [
+        _random_bipoly(rng, field, rng.randint(0, 6), rng.randint(0, 6),
+                       density=rng.choice([0.2, 0.7])) for _ in range(6)]
+    for P in polys:
+        for x in range(field.order):
+            Px = P.specialize_x(x)
+            for y in range(field.order):
+                expected = _naive_eval(P, x, y)
+                assert Px.eval_rep(y) == expected
+                assert P.eval_rep(x, y) == expected
+
+
+@pytest.mark.parametrize("B, E", [(FiniteField(2), FiniteField(2, 3)),
+                                  (FiniteField(2, 2), FiniteField(2, 4)),
+                                  (FiniteField(3, 2), FiniteField(3, 4))],
+                         ids=repr)
+def test_lift_is_a_homomorphism(B, E):
+    """P.lift(E, e)(e(x), e(y)) == e(P(x, y)) at every base-field point."""
+    e = B.embedding_into(E)
+    rng = random.Random(f"lift:{B!r}:{E!r}")
+    for _ in range(4):
+        P = _random_bipoly(rng, B, 4, 4)
+        L = P.lift(E, e)
+        assert L.field == E and set(L.terms) == set(P.terms)
+        for x in range(B.order):
+            for y in range(B.order):
+                assert L.eval_rep(e(x), e(y)) == e(P.eval_rep(x, y))
