@@ -10,8 +10,9 @@ orders of truncated power series, with exact leading coefficients; for
 polynomials the resultant degree provides an independent backend.
 
 The chart map and every blowup are calls of the one substitution
-primitive `BiPoly.substitute_binomial`, and every series product is the
-one coefficient-list multiply `polynomials._list_mul`, truncated.  Every
+primitive `BiPoly.substitute_binomial`, every series product is the one
+coefficient-list multiply `polynomials._list_mul`, truncated, and every
+reciprocal is the one Newton series inverse `polynomials._ser_inv`.  Every
 polynomial is evaluated at series by the one Horner kernel `_ser_horner`:
 the Newton step evaluates G and G_s over their Y-coefficients, which are
 already series in t, and the local-equation check nests it once in each
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, InputError, PrecisionCeilingError, \
     PreconditionError
 from .fields import FieldElement
-from .polynomials import BiPoly, UniPoly, resultant_y, _list_mul
+from .polynomials import BiPoly, UniPoly, resultant_y, _list_mul, _ser_inv
 
 DEFAULT_PRECISION_CEILING = 1 << 16
 
@@ -66,21 +67,6 @@ def _ser_scale(a, c, field):
 
 def _ser_mul(a, b, field, prec):
     return _ser_pad(_list_mul(a[:prec], b[:prec], field, prec), prec)
-
-
-def _ser_inv(a, field, prec):
-    """Reciprocal of a unit series by Newton doubling."""
-    if not a or a[0] == 0:
-        raise InconsistencyError("series reciprocal of a non-unit")
-    x = [field.inv(a[0])]
-    cur = 1
-    while cur < prec:
-        cur = min(2 * cur, prec)
-        ax = _ser_mul(a[:cur], _ser_pad(x, cur), field, cur)
-        two_minus = [field.sub(0, c) for c in ax]
-        two_minus[0] = field.add(two_minus[0], field.from_int(2))
-        x = _ser_mul(_ser_pad(x, cur), two_minus, field, cur)
-    return _ser_pad(x, prec)
 
 
 def _ser_ord(a):

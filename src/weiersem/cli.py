@@ -91,9 +91,12 @@ def build_parser():
 def _parse_range(text):
     try:
         a, b = text.split(":")
-        return int(a), int(b)
+        a, b = int(a), int(b)
     except ValueError:
         raise InputError(f"bad range {text!r}; expected A:B")
+    if a > b:
+        raise InputError(f"bad range {text!r}: A = {a} exceeds B = {b}")
+    return a, b
 
 
 def _read_basis(path, field):
@@ -293,9 +296,11 @@ def _points_for(args, report, model):
 
 
 def _cmd_code(args, out):
+    sub = args.subcommand
+    if sub == "bounds":
+        a, b = _parse_range(args.m_range)
     field, model, seq, s_inf, param, report = _pipeline(args)
     ext, points = _points_for(args, report, model)
-    sub = args.subcommand
     if sub == "build":
         spec = build_code(report.table, points, args.m,
                           improved=getattr(args, "improved", False))
@@ -314,7 +319,6 @@ def _cmd_code(args, out):
                 wr.writerow([value] + [ext.format_rep(x) for x in row])
         return 0
     if sub == "bounds":
-        a, b = _parse_range(args.m_range)
         gamma = report.gamma
         m_values = [m for m in range(a, b + 1) if m in gamma]
         rows = []

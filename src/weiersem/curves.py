@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InputError, InconsistencyError, PreconditionError
-from .polynomials import NEG_INF, BiPoly, resultant_y
+from .polynomials import DEGREE_LIMIT, NEG_INF, BiPoly, resultant_y
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,9 @@ def normalize_degree(F):
         if m % p == 0:
             raise PreconditionError(
                 "substitution failed to remove the characteristic from deg_Y")
+    if m > DEGREE_LIMIT:
+        raise InputError(f"normalized model has deg_Y = {m}, above the "
+                         f"degree limit {DEGREE_LIMIT}")
     return PlaneModel(equation=G, m=m, n=n, e_p=m - n, swapped=swapped,
                       subst_k=subst_k, shear=shear, original=original)
 

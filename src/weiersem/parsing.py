@@ -2,7 +2,8 @@
 
 Polynomials are sums of monomials ``c*X^a*Y^b`` joined by ``+``/``-``;
 ``c`` is an integer literal or, for extension fields, a bracketed
-t-polynomial like ``[t^2+1]``.  Whitespace is insignificant.  Field specs
+t-polynomial like ``[t^2+1]``; no exponent of X or Y in a monomial may
+exceed ``DEGREE_LIMIT``.  Whitespace is insignificant.  Field specs
 are ``GF(p)`` or ``GF(p^k)``.
 """
 
@@ -10,7 +11,7 @@ import re
 
 from .errors import InputError
 from .fields import FiniteField
-from .polynomials import BiPoly
+from .polynomials import DEGREE_LIMIT, BiPoly
 
 _FIELD_RE = re.compile(r"^GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?\)$")
 _INT_RE = re.compile(r"\d+")
@@ -122,12 +123,20 @@ def parse_poly(text, field):
                     m = _INT_RE.match(chunk, i + 1)
                     if not m:
                         raise InputError(f"missing exponent after '^' in {chunk!r}")
-                    e = int(m.group())
+                    digits = m.group().lstrip("0")
+                    # a long digit string is over the limit, and int() of
+                    # one beyond 4300 digits would raise
+                    e = (int(digits or "0") if len(digits) <= 9
+                         else DEGREE_LIMIT + 1)
                     i = m.end()
                 if ch in "Xx":
                     ex += e
                 else:
                     ey += e
+                if max(ex, ey) > DEGREE_LIMIT:
+                    raise InputError(
+                        f"exponent in term {chunk!r} exceeds the degree "
+                        f"limit {DEGREE_LIMIT}")
             else:
                 raise InputError(f"unexpected character {ch!r} in term {chunk!r}")
             expect_factor = False

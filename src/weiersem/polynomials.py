@@ -2,11 +2,14 @@
 
 Coefficients are stored as integer field reps.  Two single kernels carry
 the polynomial arithmetic: `_list_mul` is the one coefficient-list multiply
-(UniPoly products, hence the Rabin test in `fields`, and the truncated
-series products in `branch`), and `BiPoly.substitute_binomial` is the one
-linear change of variables (X -> X + c*Y^k, Y -> Y + c*X, every blowup and
-chart map).  A value at a point is the one Horner `UniPoly.eval_rep`; a
-bivariate polynomial is first specialized at X (`BiPoly.specialize_x`).
+(UniPoly products, hence the Rabin test in `fields`; the truncated series
+products in `branch`; the Newton series inverse `_ser_inv`; and UniPoly
+division over GF(p) above `_NEWTON_CUTOFF`, a truncated product of the
+reversed dividend with that inverse), and `BiPoly.substitute_binomial` is
+the one linear change of variables (X -> X + c*Y^k, Y -> Y + c*X, every
+blowup and chart map).  A value at a point is the one Horner
+`UniPoly.eval_rep`; a bivariate polynomial is first specialized at X
+(`BiPoly.specialize_x`).
 The Y-resultant of two bivariate polynomials is computed by Brown's
 subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X];
 the zero resultant is reported with the degree sentinel -inf, which the
@@ -14,13 +17,33 @@ callers rely on as the common-factor signal.
 """
 
 import math
+import sys
+from array import array
+from itertools import zip_longest
 
 from .errors import InconsistencyError
 from .fields import FieldElement
 
 NEG_INF = float("-inf")
 
+# Largest exponent a parsed polynomial, and largest deg_Y a normalized
+# model, may have; not user-settable, like fields.ORDER_LIMIT.  Measured on
+# `curve analyze` of Y^m+X^7 over GF(2) and GF(5) (2-vCPU Xeon, Python
+# 3.11): every model of deg_Y <= 850 in the sweep took at most 8.4 s,
+# deg_Y 896 took 11 s and 1001 took 12-17 s.
+DEGREE_LIMIT = 850
+
 _KRONECKER_CUTOFF = 64
+# Quotient length * divisor length from which UniPoly.divmod over GF(p)
+# divides by Newton inversion.  Over GF(2), GF(5) and GF(101) it beat the
+# schoolbook loop on every measured shape at or above 1024 but one (256 by
+# 4 coefficients over GF(2), 0.9x), and lost on some at 512.
+_NEWTON_CUTOFF = 1024
+
+# (bytes, array typecode) of the unsigned Kronecker slot widths, narrowest
+# first; picked by itemsize, which the C types fix per platform.
+_SLOTS = sorted({array(tc).itemsize: tc for tc in "BHILQ"}.items())
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _kronecker_mul(a, b, p, n_out):
@@ -28,22 +51,32 @@ def _kronecker_mul(a, b, p, n_out):
     over GF(p), p prime, by packing them into one big integer each (exact;
     fast for long operands).
 
-    Slots are byte-aligned so packing and unpacking are single
-    bytes-conversions instead of repeated big-integer shifts."""
-    slot_bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
-    sb = (slot_bits + 7) // 8
-    pa = bytearray(len(a) * sb)
-    for i, c in enumerate(a):
-        if c:
-            pa[i * sb:i * sb + sb] = c.to_bytes(sb, "little")
-    pb = bytearray(len(b) * sb)
-    for i, c in enumerate(b):
-        if c:
-            pb[i * sb:i * sb + sb] = c.to_bytes(sb, "little")
-    prod = int.from_bytes(bytes(pa), "little") * int.from_bytes(bytes(pb), "little")
-    raw = prod.to_bytes((len(a) + len(b)) * sb, "little")
-    return [int.from_bytes(raw[k * sb:(k + 1) * sb], "little") % p
-            for k in range(n_out)]
+    A slot is the narrowest array item of 1, 2, 4 or 8 bytes that holds
+    min(len)*(p-1)^2, so packing and unpacking are whole-buffer array
+    conversions.  Eight bytes always suffice: p <= 2^20 (ORDER_LIMIT) and
+    no operand reaches 2^24 coefficients."""
+    bound = min(len(a), len(b)) * (p - 1) * (p - 1)
+    for width, tc in _SLOTS:
+        if bound >> (8 * width) == 0:
+            break
+    else:
+        raise InconsistencyError(
+            f"Kronecker slot overflow: {bound} needs more than 8 bytes")
+    prod = _pack(a, tc) * _pack(b, tc)
+    out = array(tc)
+    out.frombytes(prod.to_bytes((len(a) + len(b) - 1) * width,
+                                "little")[:n_out * width])
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return [v % p for v in out]
+
+
+def _pack(a, tc):
+    """The coefficient list a as one little-endian integer of array slots."""
+    arr = array(tc, a)
+    if _BIG_ENDIAN:
+        arr.byteswap()
+    return int.from_bytes(arr.tobytes(), "little")
 
 
 def _list_mul(a, b, field, trunc=None):
@@ -68,6 +101,24 @@ def _list_mul(a, b, field, trunc=None):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _ser_inv(a, field, prec):
+    """First prec coefficients of 1/a for a unit series a, by Newton
+    doubling g <- g*(2 - a*g) mod X^(2k).  Since a*g = 1 + X^k*e mod
+    X^(2k), this is g - X^k*(g*e); both products are truncated
+    `_list_mul` calls."""
+    if not a or a[0] == 0:
+        raise InconsistencyError("series reciprocal of a non-unit")
+    g = [field.inv(a[0])]
+    k = 1
+    while k < prec:
+        k2 = min(2 * k, prec)
+        e = _list_mul(a[:k2], g, field, k2)[k:]
+        corr = _list_mul(g, e, field, k2 - k)
+        g = g + [field.neg(c) for c in corr] + [0] * (k2 - k - len(corr))
+        k = k2
+    return g[:prec]
 
 
 def _accumulate(out, key, value, field):
@@ -127,7 +178,9 @@ class UniPoly:
         return UniPoly(f, out, self.var)
 
     def __sub__(self, other):
-        return self + (-other)
+        sub = self.field.sub
+        return UniPoly(self.field, [sub(x, y) for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)], self.var)
 
     def __neg__(self):
         f = self.field
@@ -155,20 +208,35 @@ class UniPoly:
         return result
 
     def divmod(self, other):
-        """Division with remainder; valid since coefficients form a field."""
+        """Division with remainder; valid since coefficients form a field.
+
+        Over GF(p) with (deg a - deg b + 1)*len(b) >= _NEWTON_CUTOFF, the
+        quotient is rev(a)*rev(b)^-1 mod X^(deg a - deg b + 1) from the
+        series inverse `_ser_inv`, and the remainder is a - q*b on its low
+        deg b coefficients; both products go through `_list_mul`.
+        Otherwise the schoolbook loop runs."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
-        r = list(self.coeffs)
-        dg = len(other.coeffs) - 1
+        a, b = self.coeffs, other.coeffs
+        dg = len(b) - 1
+        n = len(a) - dg
+        if f.k == 1 and n * len(b) >= _NEWTON_CUTOFF:
+            q = _list_mul(a[:-n - 1:-1], _ser_inv(b[:-n - 1:-1], f, n), f, n)
+            q = (q + [0] * (n - len(q)))[::-1]
+            qb = _list_mul(q, b, f, dg)
+            return (UniPoly(f, q, self.var),
+                    UniPoly(f, [f.sub(x, y) for x, y in zip_longest(
+                        a[:dg], qb, fillvalue=0)], self.var))
+        r = list(a)
         inv_lc = f.inv(other.lc)
-        q = [0] * max(len(r) - dg, 0)
+        q = [0] * max(n, 0)
         while len(r) - 1 >= dg and r:
             c = f.mul(r[-1], inv_lc)
             d = len(r) - 1 - dg
             q[d] = c
             for i in range(dg + 1):
-                r[d + i] = f.sub(r[d + i], f.mul(c, other.coeffs[i]))
+                r[d + i] = f.sub(r[d + i], f.mul(c, b[i]))
             while r and r[-1] == 0:
                 r.pop()
         return UniPoly(f, q, self.var), UniPoly(f, r, self.var)

@@ -38,13 +38,14 @@ def _apery_by_dijkstra(e, gens):
 class NumericalSemigroup:
     """An additive submonoid of N with finite complement."""
 
-    __slots__ = ("e", "apery", "gens", "_gapset", "_nu_bf_cache")
+    __slots__ = ("e", "apery", "gens", "_gapset", "_nu_cache", "_nu_bf_cache")
 
     def __init__(self, e, apery, gens):
         self.e = e
         self.apery = tuple(apery)
         self.gens = tuple(gens)
         self._gapset = None
+        self._nu_cache = {}
         self._nu_bf_cache = {}
 
     # -- constructors ----------------------------------------------------
@@ -157,7 +158,11 @@ class NumericalSemigroup:
 
     def nu(self, m):
         """Number of ordered pairs (a, b) in S^2 with a + b = m, via the
-        Apery-relation counting formula."""
+        Apery-relation counting formula (memoized: feng_rao asks for the
+        same values once per residue class and m)."""
+        total = self._nu_cache.get(m)
+        if total is not None:
+            return total
         i, l = self.coords(m)
         e = self.e
         ap = self.apery
@@ -167,6 +172,7 @@ class NumericalSemigroup:
             alpha = (ap[k] + ap[(i - k) % e] - ai) // e
             if alpha <= l:
                 total += l - alpha + 1
+        self._nu_cache[m] = total
         return total
 
     def nu_bruteforce(self, m):

@@ -2,11 +2,13 @@ import io
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from weiersem import NumericalSemigroup
 from weiersem.cli import run
+from weiersem.polynomials import DEGREE_LIMIT
 
 from conftest import GOLDEN_BASIS_LINES
 
@@ -177,6 +179,35 @@ def test_code_syndrome_extension_entries(basis_file):
     assert code == 0
     assert "s_0:" in text and "s_3:" in text
     assert "in_code: no" in text
+
+
+@pytest.mark.parametrize("field,curve", [
+    ("GF(2)", "Y^99999999999999999999+X^3"),
+    ("GF(2)", "X^99999999999999999999+Y^3"),
+    ("GF(2)", "Y^2+X^511"),          # X -> X + Y^3 gives deg_Y 1533
+])
+def test_degree_limit_exit_1(field, curve, capsys):
+    start = time.perf_counter()
+    code, text = _run(["curve", "analyze", "--field", field, "--curve", curve])
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"degree limit {DEGREE_LIMIT}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "fengrao", "--gens", "3,4"],
+    ["semigroup", "nu", "--gens", "3,4"],
+    ["code", "bounds", "--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
+     "--integral-basis", "BASIS", "--ext", "3"],
+])
+def test_reversed_m_range_exit_1(argv, basis_file, capsys):
+    argv = [basis_file if a == "BASIS" else a for a in argv]
+    code, text = _run(argv + ["--m-range", "5:1"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: bad range '5:1': A = 5 exceeds B = 1\n"
+    assert _run(argv + ["--m-range", "6:6"])[0] == 0
 
 
 def test_unknown_flag_exit_1():

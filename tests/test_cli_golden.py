@@ -56,6 +56,10 @@ CASES = {
     "chart_y_gf4_weierstrass": ["weierstrass", "--field", "GF(2^2)",
                                 "--curve", "X^5+Y^3+[t]", "--integral-basis",
                                 os.path.join(DATA, "empty_basis.txt")],
+    "y150_gf2_analyze": ["curve", "analyze", "--field", "GF(2)",
+                         "--curve", "Y^150+X^7"],
+    "y200_gf5_analyze": ["curve", "analyze", "--field", "GF(5)",
+                         "--curve", "Y^200+X^7"],
 }
 
 

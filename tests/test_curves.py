@@ -7,6 +7,7 @@ from weiersem import (BiPoly, HypothesisError, InputError,
                       PreconditionError, am_sequence, approximate_root,
                       normalize_degree, one_branch_criterion, parse_field,
                       parse_poly, semigroup_at_infinity)
+from weiersem.polynomials import DEGREE_LIMIT
 
 
 # -- normalize_degree --------------------------------------------------------
@@ -59,6 +60,16 @@ def test_unit_rescaling():
 def test_not_monicable_rejected(gf2):
     with pytest.raises(InputError):
         normalize_degree(parse_poly("X*Y+1", gf2))
+
+
+def test_normalized_degree_limit():
+    field = parse_field(f"GF({min(q for q in (2, 3, 5, 7) if DEGREE_LIMIT % q)})")
+    assert normalize_degree(parse_poly(f"Y^{DEGREE_LIMIT}+X", field)).m \
+        == DEGREE_LIMIT
+    # X -> X + Y^3 takes deg_Y from 2 to 3*511
+    with pytest.raises(InputError, match=f"deg_Y = 1533, above the degree "
+                                         f"limit {DEGREE_LIMIT}$"):
+        normalize_degree(parse_poly("Y^2+X^511", parse_field("GF(2)")))
 
 
 def test_substitution_avoids_tilted_position():

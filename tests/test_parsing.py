@@ -2,6 +2,7 @@ import pytest
 
 from weiersem import (BiPoly, InputError, parse_field, parse_generators,
                       parse_poly, parse_rational)
+from weiersem.polynomials import DEGREE_LIMIT
 
 
 def test_parse_field_specs():
@@ -64,6 +65,16 @@ def test_parse_poly_rejects(bad):
             parse_rational(bad, F8)
         else:
             parse_poly(bad, F8)
+
+
+def test_parse_poly_degree_limit(gf2):
+    L = DEGREE_LIMIT
+    assert parse_poly(f"X^{L}+Y^{L}", gf2).total_degree == L
+    assert parse_poly(f"Y^00{L}", gf2).deg_y == L
+    for bad in (f"X^{L + 1}+Y", f"Y^{L + 1}", f"X^{L}*X", "X^600*X^600",
+                "Y^99999999999999999999+X^3", "Y^" + "9" * 5000):
+        with pytest.raises(InputError, match=f"degree limit {L}$"):
+            parse_poly(bad, gf2)
 
 
 def test_parse_generators():

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from weiersem import (BiPoly, FiniteField, NEG_INF, UniPoly, parse_poly,
-                      resultant_y)
-from weiersem.polynomials import _KRONECKER_CUTOFF, _list_mul
+from weiersem import (BiPoly, FiniteField, InconsistencyError, NEG_INF,
+                      UniPoly, parse_poly, resultant_y)
+from weiersem import polynomials
+from weiersem.polynomials import (_KRONECKER_CUTOFF, _NEWTON_CUTOFF,
+                                  _kronecker_mul, _list_mul)
 
 
 def _random_bipoly(rng, field, dx, dy, density=0.7):
@@ -293,3 +295,122 @@ def test_lift_is_a_homomorphism(B, E):
         for x in range(B.order):
             for y in range(B.order):
                 assert L.eval_rep(e(x), e(y)) == e(P.eval_rep(x, y))
+
+
+def _schoolbook_divmod(a, b, field):
+    """Long division of coefficient lists (b with a nonzero top
+    coefficient); the oracle for UniPoly.divmod."""
+    r = list(a)
+    inv = field.inv(b[-1])
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for d in range(len(q) - 1, -1, -1):
+        c = field.mul(r[d + len(b) - 1], inv)
+        q[d] = c
+        for i, bi in enumerate(b):
+            r[d + i] = field.sub(r[d + i], field.mul(c, bi))
+    return q, r[:len(b) - 1]
+
+
+def _random_unipoly(rng, field, length):
+    cs = [rng.randrange(field.order) for _ in range(length - 1)]
+    return UniPoly(field, cs + [rng.randrange(1, field.order)])
+
+
+# (quotient length, divisor length): products below and at or above
+# _NEWTON_CUTOFF, long and short divisors, a constant divisor
+_DIVMOD_SHAPES = [(1, 1), (3, 5), (20, 20), (1, 200), (200, 1), (16, 64),
+                  (64, 16), (2, 512), (40, 90), (150, 150), (333, 7)]
+
+
+@pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5),
+                                   FiniteField(101), FiniteField(3, 2)],
+                         ids=repr)
+def test_divmod_against_schoolbook(field, monkeypatch):
+    """Newton division (prime fields above the cutoff) and the schoolbook
+    loop (below it, and every GF(p^k)) both agree with long division."""
+    inverses = []
+    ser_inv = polynomials._ser_inv
+
+    def counted(a, f, prec):
+        inverses.append(prec)
+        return ser_inv(a, f, prec)
+
+    monkeypatch.setattr(polynomials, "_ser_inv", counted)
+    assert {n * lb >= _NEWTON_CUTOFF for n, lb in _DIVMOD_SHAPES} == {True,
+                                                                      False}
+    rng = random.Random(f"divmod:{field!r}")
+    for n, lb in _DIVMOD_SHAPES:
+        for _ in range(3):
+            a = _random_unipoly(rng, field, n + lb - 1)
+            b = _random_unipoly(rng, field, lb)
+            calls = len(inverses)
+            q, r = a.divmod(b)
+            newton = field.k == 1 and n * lb >= _NEWTON_CUTOFF
+            assert len(inverses) - calls == (1 if newton else 0)
+            eq, er = _schoolbook_divmod(list(a.coeffs), list(b.coeffs), field)
+            assert q == UniPoly(field, eq)
+            assert r == UniPoly(field, er)
+            assert q * b + r == a
+            assert r.degree < b.degree
+            if n > 1:   # a dividend shorter than the divisor
+                assert b.divmod(a) == (UniPoly.zero(field), b)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_exact_div_raises_above_cutoff(p):
+    field = FiniteField(p)
+    rng = random.Random(p)
+    b = _random_unipoly(rng, field, 90)
+    c = _random_unipoly(rng, field, 60)
+    assert 60 * 90 >= _NEWTON_CUTOFF
+    assert (b * c).exact_div(b) == c
+    off = UniPoly(field, [0] * rng.randrange(89) + [1])
+    with pytest.raises(InconsistencyError, match="inexact"):
+        (b * c + off).exact_div(b)
+
+
+@pytest.mark.parametrize("field", [FiniteField(5), FiniteField(3, 2)],
+                         ids=repr)
+def test_unipoly_sub_against_coefficientwise(field):
+    rng = random.Random(f"sub:{field!r}")
+    for la, lb in [(0, 3), (3, 0), (4, 7), (7, 4), (5, 5)]:
+        a = [rng.randrange(field.order) for _ in range(la)]
+        b = [rng.randrange(field.order) for _ in range(lb)]
+        n = max(la, lb)
+        a0, b0 = a + [0] * (n - la), b + [0] * (n - lb)
+        expected = UniPoly(field, [field.sub(x, y) for x, y in zip(a0, b0)])
+        assert UniPoly(field, a) - UniPoly(field, b) == expected
+        assert UniPoly(field, a) - UniPoly(field, a) == UniPoly.zero(field)
+
+
+def _slot_width(la, lb, p):
+    bound = min(la, lb) * (p - 1) ** 2
+    return min(w for w in (1, 2, 4, 8) if bound < 256 ** w)
+
+
+# (p, len a, len b, operands): every slot width, and the largest
+# coefficient min(len)*(p-1)^2 at both sides of the 1-byte bound
+_KRONECKER_CASES = [
+    (2, 40, 70, "random"), (2, 255, 260, "max"), (2, 256, 256, "max"),
+    (2, 300, 320, "random"), (101, 4, 30, "max"), (101, 40, 60, "random"),
+    (1048573, 20, 30, "random"), (1048573, 9, 9, "max"),
+]
+
+
+def test_kronecker_cases_cover_every_slot_width():
+    widths = {_slot_width(la, lb, p) for p, la, lb, _ in _KRONECKER_CASES}
+    assert widths == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("p,la,lb,kind", _KRONECKER_CASES)
+def test_kronecker_mul_against_double_loop(p, la, lb, kind):
+    field = FiniteField(p)
+    rng = random.Random(f"kron:{p}:{la}:{lb}")
+    if kind == "max":
+        a, b = [p - 1] * la, [p - 1] * lb
+    else:
+        a = [rng.randrange(p) for _ in range(la)]
+        b = [rng.randrange(p) for _ in range(lb)]
+    full = _naive_product(a, b, field)
+    for n_out in (1, len(full) // 2, len(full)):
+        assert _kronecker_mul(a, b, p, n_out) == full[:n_out]
