@@ -13,10 +13,11 @@ The chart map and every blowup are calls of the one substitution
 primitive `BiPoly.substitute_binomial`, every series product is the one
 coefficient-list multiply `polynomials._list_mul`, truncated, and every
 reciprocal is the one Newton series inverse `polynomials._ser_inv`.  Every
-polynomial is evaluated at series by the one Horner kernel `_ser_horner`:
-the Newton step evaluates G and G_s over their Y-coefficients, which are
-already series in t, and the local-equation check nests it once in each
-variable.  The pullbacks keep their cached powers of the chart coordinates.
+polynomial is evaluated at series in one of two ways, each where it is
+cheaper: the Newton step runs the Horner kernel `_ser_horner` over the
+Y-coefficients of G and G_s, which are already series in t; the
+local-equation check and the valuations pull back through `_pullback`,
+which keeps cached powers of the chart coordinates.
 """
 
 import os
@@ -83,13 +84,6 @@ def _ser_horner(coeffs, x, field, prec):
     for c in reversed(coeffs):
         acc = _ser_add(_ser_mul(acc, x, field, prec), c[:prec], field)
     return _ser_pad(acc, prec)
-
-
-def _eval_bipoly_series(P, a, b, field, prec):
-    """P(a, b) for series a, b: Horner in b over the Y-coefficients of P,
-    each evaluated at a."""
-    return _ser_horner([_ser_horner([[c] for c in row.coeffs], a, field, prec)
-                        for row in P.y_coeffs()], b, field, prec)
 
 
 # -- tangent detection -----------------------------------------------------
@@ -209,7 +203,6 @@ class BranchParam:
         self.degree = D
         self.chart, self.lam = _infinity_chart(F)
         G = _local_equation(F, self.chart, self.lam)
-        self._G0 = G
         steps = []
         guard = 4 * D * D + 16
         while True:
@@ -282,8 +275,16 @@ class BranchParam:
                 u, v = u, _ser_mul(u, shifted, field, prec)
             else:
                 u, v = _ser_mul(v, u, field, prec), v
-        check = _eval_bipoly_series(self._G0, u, v, field, prec)
-        if any(check):
+        self.u = u
+        self.v = v
+        self.precision = prec
+        self._pow_a = {0: _ser_pad([1], prec)}
+        self._pow_b = {0: _ser_pad([1], prec)}
+        a = u[:]
+        a[0] = field.add(a[0], self.lam)
+        self._a = a
+        # v^D * F(X, Y) along the branch is the local equation G0(u, v)
+        if any(self._pullback(self.model.equation)[0]):
             raise InconsistencyError("parametrization does not annihilate "
                                      "the local equation")
         ord_v = _ser_ord(v)
@@ -294,14 +295,6 @@ class BranchParam:
                     f"ceiling {self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
             self._compute_series(min(2 * prec, self.ceiling))
             return
-        self.u = u
-        self.v = v
-        self.precision = prec
-        self._pow_a = {0: _ser_pad([1], prec)}
-        self._pow_b = {0: _ser_pad([1], prec)}
-        a = u[:]
-        a[0] = field.add(a[0], self.lam)
-        self._a = a
         self.pole_order = ord_v       # ord_t of the chart coordinate Z/X
         self._lc_v = v[ord_v]
 

@@ -18,7 +18,8 @@ from .curves import am_sequence, normalize_degree, one_branch_criterion, \
 from .errors import HypothesisError, InconsistencyError, InputError, \
     PreconditionError
 from .fields import FiniteField
-from .parsing import parse_field, parse_generators, parse_poly, parse_rational
+from .parsing import parse_element, parse_field, parse_generators, \
+    parse_poly, parse_rational
 from .semigroups import NumericalSemigroup
 from .weierstrass import l_basis, triangulate
 
@@ -103,7 +104,7 @@ def _read_basis(path, field):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read integral basis file: {exc}")
     basis = []
     for line in lines:
@@ -194,13 +195,14 @@ def _cmd_curve_analyze(args, out):
     out.write("approximate_roots:\n")
     for i, fn in enumerate(seq.roots):
         out.write(f"  F_{i} = {fn}\n")
-    if verdict:
-        out.write("one_branch: yes\n")
-        out.write(f"S_P: {_gens_str(seq.delta)}\n")
-    else:
+    if not verdict:
         out.write("one_branch: no\n")
         out.write(f"reason: {verdict.reason}\n")
-    return 0 if verdict else 2
+        raise PreconditionError(f"not one branch at infinity: "
+                                f"{verdict.reason}")
+    out.write("one_branch: yes\n")
+    out.write(f"S_P: {_gens_str(seq.delta)}\n")
+    return 0
 
 
 def _cmd_weierstrass(args, out):
@@ -338,16 +340,7 @@ def _cmd_code(args, out):
     if len(entries) != spec.n:
         raise InputError(f"word has {len(entries)} entries, code length is "
                          f"{spec.n}")
-    word = []
-    for tok in entries:
-        tok = tok or "0"
-        if "t" in tok and "[" not in tok:
-            tok = f"[{tok}]"
-        poly = parse_poly(tok, ext)
-        if poly.deg_x not in (0, float("-inf")) or \
-                poly.deg_y not in (0, float("-inf")):
-            raise InputError(f"word entry {tok!r} is not a field element")
-        word.append(poly.coeff(0, 0))
+    word = [parse_element(tok or "0", ext) for tok in entries]
     for value, s in known_syndromes(spec, word):
         out.write(f"s_{value}: {ext.format_rep(s)}\n")
     out.write(f"in_code: {'yes' if in_code(spec, word) else 'no'}\n")

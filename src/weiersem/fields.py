@@ -28,6 +28,19 @@ def is_prime(n):
     return True
 
 
+def power(base, e, mul, one):
+    """base^e for an integer e >= 0 by square-and-multiply over the binary
+    digits of e, low to high: the one ladder for powers of polynomials,
+    valued functions and field elements without log tables."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
 def _is_irreducible(mod, p):
     """Rabin test for a monic polynomial over GF(p): f of degree k is
     irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1 for
@@ -40,13 +53,8 @@ def _is_irreducible(mod, p):
     x = UniPoly.x(f.field).divmod(f)[1]
 
     def x_pow(e):
-        result, base = UniPoly.one(f.field), x
-        while e:
-            if e & 1:
-                result = (result * base).divmod(f)[1]
-            base = (base * base).divmod(f)[1]
-            e >>= 1
-        return result
+        return power(x, e, lambda a, b: (a * b).divmod(f)[1],
+                     UniPoly.one(f.field))
 
     if x_pow(p ** k) != x:
         return False
@@ -209,13 +217,7 @@ class FiniteField:
             return 0 if e else 1
         if self._log is not None:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
+        return power(a, e, self._raw_mul, 1)
 
     def from_int(self, c):
         """Image of an integer under the unital ring map Z -> GF(p^k)."""
@@ -369,13 +371,17 @@ class FieldElement:
         return self.rep != 0
 
     def __eq__(self, other):
+        """An int equals an element only as its canonical rep 0 <= n < p, so
+        that equal objects hash alike (no hash fits a whole residue class)."""
         if isinstance(other, FieldElement):
             return self.field == other.field and self.rep == other.rep
         if isinstance(other, int):
-            return self.rep == self.field.from_int(other)
+            return 0 <= other < self.field.p and self.rep == other
         return NotImplemented
 
     def __hash__(self):
+        if self.rep < self.field.p:
+            return hash(self.rep)
         return hash((self.rep, self.field.p, self.field.k))
 
     def __repr__(self):

@@ -1,179 +1,178 @@
 """Text grammar for field specs, polynomials and rational functions.
 
-Polynomials are sums of monomials ``c*X^a*Y^b`` joined by ``+``/``-``;
-``c`` is an integer literal or, for extension fields, a bracketed
-t-polynomial like ``[t^2+1]``; no exponent of X or Y in a monomial may
-exceed ``DEGREE_LIMIT``.  Whitespace is insignificant.  Field specs
-are ``GF(p)`` or ``GF(p^k)``.
+Field specs are ``GF(p)`` or ``GF(p^k)``.  A polynomial is a ``+``/``-``
+sum of products of factors (joined by ``*`` or side by side): integer
+literals, powers ``X^a``, ``Y^b`` with exponents up to ``DEGREE_LIMIT``,
+and bracketed coefficients like ``[t^2+1]``, the same sum of products in
+t with powers below k.  Whitespace is insignificant; digits are ASCII.
+
+One regex tokenizer (`_tokens`) and one sum-of-products reader (`_sum`)
+scan every level.  Exponents and field parameters are compared with their
+cap by length before any ``int()`` (`_bounded`); coefficient literals of
+any length are reduced mod p in chunks (`_literal`).
 """
 
 import re
 
 from .errors import InputError
-from .fields import FiniteField
+from .fields import ORDER_LIMIT, FiniteField
 from .polynomials import DEGREE_LIMIT, BiPoly
 
-_FIELD_RE = re.compile(r"^GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?\)$")
-_INT_RE = re.compile(r"\d+")
-_VAR_RE = re.compile(r"[XYxy]")
+_FIELD_RE = re.compile(r"^GF\(\s*([0-9]+)\s*(?:\^\s*([0-9]+)\s*)?\)$")
+_TOKEN_RE = re.compile(r"[0-9]+|.", re.S)
+_DIGITS = frozenset("0123456789")
+_XY = {"X": 0, "x": 0, "Y": 1, "y": 1}
+_T = {"t": 0}
+_CHUNK = 1000       # digits per int() call, well below its 4300-digit limit
+
+
+def _bounded(digits, cap, message):
+    """int(digits) for an ASCII digit string, or InputError(message) above
+    cap; a string longer than cap's is over it without conversion."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise InputError(message)
+    return int(digits)
+
+
+def _literal(digits, p):
+    """An integer literal of any length, reduced mod p chunk by chunk."""
+    r = 0
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i:i + _CHUNK]
+        r = (r * pow(10, len(chunk), p) + int(chunk)) % p
+    return r
 
 
 def parse_field(spec):
     m = _FIELD_RE.match(spec.strip())
     if not m:
         raise InputError(f"bad field spec {spec!r}; expected GF(p) or GF(p^k)")
-    p = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else 1
-    try:
-        return FiniteField(p, k)
-    except InputError:
-        raise
-    except Exception as exc:  # pragma: no cover
-        raise InputError(str(exc))
+    too_big = "field order exceeds the desk-scale limit 2^20"
+    p = _bounded(m.group(1), ORDER_LIMIT, too_big)
+    k = _bounded(m.group(2) or "1", ORDER_LIMIT.bit_length() - 1, too_big)
+    return FiniteField(p, k)
 
 
-def _split_terms(text):
-    """Split on top-level +/- (bracket-aware); yields (sign, chunk)."""
-    out = []
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    if text and text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        start = i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise InputError("unbalanced ']' in polynomial")
-        elif ch in "+-" and depth == 0:
-            out.append((sign, text[start:i]))
-            sign = -1 if ch == "-" else 1
-            start = i + 1
-        i += 1
-    if depth:
-        raise InputError("unbalanced '[' in polynomial")
-    out.append((sign, text[start:]))
-    return out
+def _tokens(text):
+    """Digit runs and single characters, whitespace dropped, then an empty
+    end sentinel."""
+    return _TOKEN_RE.findall("".join(text.split())) + [""]
 
 
-def _parse_t_poly(body, field):
-    """Bracketed coefficient: a polynomial in t over the prime field."""
+def _sum(toks, i, field, names, in_bracket=False):
+    """The one sum-of-products reader, from toks[i] on.
+
+    Reads an optionally signed ``+``/``-`` sum of products; factors are
+    integer literals, powers of the variables in `names` (a letter -> slot
+    map, _XY or _T) and, outside brackets, bracketed t-polynomials.
+    Returns ({exponent tuple: rep}, which may hold zero reps, and the index
+    of the first token not read)."""
+    if names is _XY:
+        cap = DEGREE_LIMIT
+        too_high = f"exponent exceeds the degree limit {DEGREE_LIMIT}"
+    else:
+        cap = field.k - 1
+        too_high = f"power of t exceeds t^{cap}, the top power in {field}"
+    width = max(names.values()) + 1
+    terms = {}
+    sign = "+"
+    if toks[i] in ("+", "-"):
+        sign, i = toks[i], i + 1
+    while True:
+        coeff, exps, factors = 1, [0] * width, 0
+        while True:
+            star = factors > 0 and toks[i] == "*"
+            i += star
+            tok = toks[i]
+            if tok[:1] in _DIGITS:
+                coeff = field.mul(coeff, _literal(tok, field.p))
+                i += 1
+            elif tok in names:
+                e = 1
+                if toks[i + 1] == "^":
+                    if toks[i + 2][:1] not in _DIGITS:
+                        raise InputError(f"missing exponent after {tok}^")
+                    e = _bounded(toks[i + 2], cap, too_high)
+                    i += 2
+                i += 1
+                exps[names[tok]] += e
+                if exps[names[tok]] > cap:
+                    raise InputError(too_high)
+            elif tok == "[" and not in_bracket:
+                inner, i = _sum(toks, i + 1, field, _T, in_bracket=True)
+                if toks[i] != "]":
+                    _expect_end(toks, i)
+                    raise InputError("unbalanced '[' in polynomial")
+                coeff = field.mul(coeff, _t_value(inner, field))
+                i += 1
+            elif star:
+                raise InputError("'*' without a factor after it")
+            else:
+                break
+            factors += 1
+        if not factors:
+            if tok in ("+", "-", "]", "/"):
+                raise InputError(f"missing term before {tok!r}")
+            _expect_end(toks, i)
+            raise InputError("missing term at the end")
+        if sign == "-":
+            coeff = field.neg(coeff)
+        key = tuple(exps)
+        terms[key] = field.add(terms.get(key, 0), coeff)
+        if toks[i] not in ("+", "-"):
+            return terms, i
+        sign, i = toks[i], i + 1
+
+
+def _t_value(terms, field):
+    """The field rep of sum c*t^e over {(e,): c}, with t^e = p^e as a rep."""
     rep = 0
-    for sign, chunk in _split_terms(body):
-        chunk = chunk.strip()
-        if not chunk:
-            raise InputError(f"empty term in coefficient [{body}]")
-        m = re.match(r"^(\d+)?\s*(\*)?\s*(t(\^(\d+))?)?$", chunk)
-        if not m or (m.group(1) is None and m.group(3) is None):
-            raise InputError(f"bad coefficient term {chunk!r} in [{body}]")
-        c = int(m.group(1)) if m.group(1) else 1
-        e = 0
-        if m.group(3):
-            e = int(m.group(5)) if m.group(5) else 1
-        if e >= field.k:
-            raise InputError(
-                f"t^{e} exceeds the degree of GF({field.p}^{field.k})")
-        term = field.mul(field.from_int(c),
-                         field.encode([0] * e + [1]) if e else 1)
-        if sign < 0:
-            term = field.neg(term)
-        rep = field.add(rep, term)
+    for (e,), c in terms.items():
+        rep = field.add(rep, field.mul(c, field.p ** e))
     return rep
+
+
+def _expect_end(toks, i):
+    """Raise unless toks[i] is the end sentinel."""
+    if toks[i] == "]":
+        raise InputError("unbalanced ']' in polynomial")
+    if toks[i]:
+        raise InputError(f"unexpected character {toks[i]!r}")
 
 
 def parse_poly(text, field):
     """Parse a bivariate polynomial in the grammar over `field`."""
-    text = "".join(text.split())
-    if not text:
+    toks = _tokens(text)
+    if len(toks) == 1:
         raise InputError("empty polynomial")
-    terms = {}
-    for sign, chunk in _split_terms(text):
-        if not chunk:
-            raise InputError(f"empty term in {text!r}")
-        coeff = 1
-        ex = ey = 0
-        i = 0
-        expect_factor = True
-        seen_factor = False
-        while i < len(chunk):
-            ch = chunk[i]
-            if ch == "*":
-                if not seen_factor or expect_factor:
-                    raise InputError(f"misplaced '*' in term {chunk!r}")
-                i += 1
-                expect_factor = True
-                continue
-            if ch == "[":
-                j = chunk.index("]", i)
-                coeff = field.mul(coeff, _parse_t_poly(chunk[i + 1:j], field))
-                i = j + 1
-            elif ch.isdigit():
-                m = _INT_RE.match(chunk, i)
-                coeff = field.mul(coeff, field.from_int(int(m.group())))
-                i = m.end()
-            elif _VAR_RE.match(ch):
-                e = 1
-                i += 1
-                if i < len(chunk) and chunk[i] == "^":
-                    m = _INT_RE.match(chunk, i + 1)
-                    if not m:
-                        raise InputError(f"missing exponent after '^' in {chunk!r}")
-                    digits = m.group().lstrip("0")
-                    # a long digit string is over the limit, and int() of
-                    # one beyond 4300 digits would raise
-                    e = (int(digits or "0") if len(digits) <= 9
-                         else DEGREE_LIMIT + 1)
-                    i = m.end()
-                if ch in "Xx":
-                    ex += e
-                else:
-                    ey += e
-                if max(ex, ey) > DEGREE_LIMIT:
-                    raise InputError(
-                        f"exponent in term {chunk!r} exceeds the degree "
-                        f"limit {DEGREE_LIMIT}")
-            else:
-                raise InputError(f"unexpected character {ch!r} in term {chunk!r}")
-            expect_factor = False
-            seen_factor = True
-        if expect_factor:
-            raise InputError(f"dangling '*' in term {chunk!r}")
-        if sign < 0:
-            coeff = field.neg(coeff)
-        key = (ex, ey)
-        s = field.add(terms.get(key, 0), coeff)
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+    terms, i = _sum(toks, 0, field, _XY)
+    _expect_end(toks, i)
     return BiPoly(field, terms)
 
 
 def parse_rational(text, field):
     """Parse ``numerator / denominator``; the denominator defaults to 1."""
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise InputError("more than one '/' in rational function")
-            split_at = i
-    if split_at is None:
-        return parse_poly(text, field), BiPoly.one(field)
-    num = parse_poly(text[:split_at], field)
-    den = parse_poly(text[split_at + 1:], field)
-    if den.is_zero():
-        raise InputError("zero denominator")
-    return num, den
+    toks = _tokens(text)
+    num, i = _sum(toks, 0, field, _XY)
+    den = {(0, 0): 1}
+    if toks[i] == "/":
+        den, i = _sum(toks, i + 1, field, _XY)
+        if toks[i] == "/":
+            raise InputError("more than one '/' in rational function")
+        if not any(den.values()):
+            raise InputError("zero denominator")
+    _expect_end(toks, i)
+    return BiPoly(field, num), BiPoly(field, den)
+
+
+def parse_element(text, field):
+    """Parse one field element: a sum of products in t, as inside a
+    bracket, whose factors may also be bracketed coefficients."""
+    toks = _tokens(text)
+    terms, i = _sum(toks, 0, field, _T)
+    _expect_end(toks, i)
+    return _t_value(terms, field)
 
 
 def parse_generators(text):

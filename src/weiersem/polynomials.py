@@ -17,12 +17,13 @@ callers rely on as the common-factor signal.
 """
 
 import math
+import operator
 import sys
 from array import array
 from itertools import zip_longest
 
 from .errors import InconsistencyError
-from .fields import FieldElement
+from .fields import FieldElement, power
 
 NEG_INF = float("-inf")
 
@@ -198,14 +199,7 @@ class UniPoly:
         return UniPoly(f, [f.mul(c, rep) for c in self.coeffs], self.var)
 
     def __pow__(self, e):
-        result = UniPoly.one(self.field, self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, UniPoly.one(self.field, self.var))
 
     def divmod(self, other):
         """Division with remainder; valid since coefficients form a field.
@@ -374,14 +368,7 @@ class BiPoly:
         return BiPoly(f, {k: f.mul(v, rep) for k, v in self.terms.items()})
 
     def __pow__(self, e):
-        result = BiPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, BiPoly.one(self.field))
 
     # -- views ----------------------------------------------------------
 

@@ -9,10 +9,12 @@ The final table yields a function of pole order r for every r in the
 Weierstrass semigroup, hence bases of the spaces L(mP).
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
+from .fields import power
 from .polynomials import BiPoly, UniPoly
 from .semigroups import NumericalSemigroup
 
@@ -59,14 +61,8 @@ class ValuedFunction:
 
     def pow(self, e):
         f = self.num.field
-        out = ValuedFunction(BiPoly.one(f), BiPoly.one(f), 0, 1, "table-product")
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, operator.mul, ValuedFunction(
+            BiPoly.one(f), BiPoly.one(f), 0, 1, "table-product"))
 
     def __repr__(self):
         if self.den == BiPoly.one(self.num.field):

@@ -6,8 +6,8 @@ from weiersem import (BiPoly, FiniteField, InconsistencyError, InputError,
                       PreconditionError, branch, normalize_degree,
                       parse_field, parse_poly, parse_rational, parametrize,
                       valuation, valuation_by_resultant)
-from weiersem.branch import (DEFAULT_PRECISION_CEILING, _eval_bipoly_series,
-                             _ser_add, _ser_horner, _ser_mul, _ser_pad,
+from weiersem.branch import (DEFAULT_PRECISION_CEILING, _ser_add,
+                             _ser_horner, _ser_mul, _ser_pad,
                              precision_ceiling)
 from weiersem.polynomials import _KRONECKER_CUTOFF
 
@@ -277,27 +277,6 @@ def test_ser_horner_against_naive(field, prec):
         for c, xj in zip(coeffs, _naive_powers(x, field, prec, len(coeffs))):
             expected = _ser_add(expected, _ser_mul(c, xj, field, prec), field)
         assert _ser_horner(coeffs, x, field, prec) == expected
-
-
-@pytest.mark.parametrize("field", [FiniteField(7), FiniteField(2, 2),
-                                   FiniteField(3, 2)], ids=repr)
-@pytest.mark.parametrize("prec", [5, 20])
-def test_eval_bipoly_series_against_naive(field, prec):
-    rng = random.Random(17 * prec + field.order)
-    for _ in range(6):
-        P = _random_poly(rng, field, rng.randrange(5), rng.randrange(5))
-        P = BiPoly(field, {k: c for k, c in P.terms.items()
-                           if rng.random() < 0.6})      # sparse
-        a = _random_series(rng, field, rng.randrange(1, prec + 4))
-        b = _random_series(rng, field, rng.randrange(1, prec + 4))
-        pa = _naive_powers(a, field, prec, 4)
-        pb = _naive_powers(b, field, prec, 4)
-        expected = [0] * prec
-        for (i, j), c in P.terms.items():
-            term = [field.mul(c, t) for t in _ser_mul(pa[i], pb[j], field,
-                                                      prec)]
-            expected = _ser_add(expected, term, field)
-        assert _eval_bipoly_series(P, a, b, field, prec) == expected
 
 
 @pytest.mark.parametrize("field_text, curve", [
