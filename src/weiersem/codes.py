@@ -68,8 +68,16 @@ def _nullspace(rows, field):
 
 def _values(fn, indexed_points, ext, embed):
     """f(P) over ext at each (idx, (x, y)), with num and den lifted into
-    ext once; a pole at point #idx is a precondition failure."""
+    ext once; a nonzero constant den is inverted once and folded into num,
+    any other den is evaluated, and a pole at point #idx is a precondition
+    failure."""
     num, den = fn.num.lift(ext, embed), fn.den.lift(ext, embed)
+    c = den.terms.get((0, 0)) if len(den.terms) == 1 else None
+    if c:
+        num = num.scale(ext.inv(c))
+        for _, (x, y) in indexed_points:
+            yield num.eval_rep(x, y)
+        return
     for idx, (x, y) in indexed_points:
         dv = den.eval_rep(x, y)
         if dv == 0:

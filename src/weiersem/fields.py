@@ -2,9 +2,13 @@
 
 Elements are stored as integer representatives: for GF(p) the residue
 itself, for GF(p^k) the base-p encoding of the coefficient vector of the
-polynomial basis 1, t, ..., t^(k-1).  Extension fields carry log/antilog
-tables (built once, for p^k <= 2^16), so multiplication is O(1); prime
-fields use the native modulus operator which is faster than any table.
+polynomial basis 1, t, ..., t^(k-1).  Extension fields of order p^k <= 2^16
+carry exp/log tables and, for odd p, a Zech table Z[n] = log(1 + g^n)
+(built once, from one walk of the generator g), so multiplication and
+addition are O(1) lookups: a*b = g^(log a + log b) and
+a + b = g^(log a + Z[log b - log a]).  Characteristic 2 adds by XOR, and
+prime fields use the native modulus operator, which is faster than any
+table.
 """
 
 from .errors import InconsistencyError, InputError, PreconditionError
@@ -36,8 +40,9 @@ def power(base, e, mul, one):
     while e:
         if e & 1:
             result = mul(result, base)
-        base = mul(base, base)
         e >>= 1
+        if e:
+            base = mul(base, base)
     return result
 
 
@@ -108,7 +113,7 @@ class FiniteField:
                 raise InputError("modulus must be monic of degree k")
             if not _is_irreducible(self.modulus, p):
                 raise InputError("modulus is not irreducible")
-        self._log = self._exp = None
+        self._log = self._exp = self._zech = None
         if k > 1 and self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
 
@@ -136,8 +141,14 @@ class FiniteField:
     def _build_log_tables(self):
         """exp/log tables of the first g >= 2 of order q - 1, i.e. with
         g^((q-1)/l) != 1 for every prime l dividing q - 1 (one exists since
-        the modulus is irreducible)."""
-        q = self.order
+        the modulus is irreducible), and for odd p the Zech table
+        Z[n] = log(1 + g^n), None at n = (q-1)/2 where 1 + g^n = 0.
+
+        exp is stored twice over (2(q-1) entries), so a sum of two logs
+        indexes it without reduction; Z is indexed by a difference of two
+        logs, a negative one counting from the end, which is the same
+        residue mod q - 1."""
+        q, p = self.order, self.p
         primes = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
         g = next(g for g in range(2, q)
                  if all(self.pow_rep(g, (q - 1) // l) != 1 for l in primes))
@@ -148,7 +159,12 @@ class FiniteField:
             exp[i] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        self._exp, self._log = exp, log
+        if p != 2:
+            # 1 + x raises the constant digit of x by one, mod p
+            self._zech = [log[x + 1] if (x + 1) % p else
+                          (None if x == p - 1 else log[x + 1 - p])
+                          for x in exp]
+        self._exp, self._log = exp + exp, log
         self.generator_rep = g
 
     # -- integer-rep arithmetic ----------------------------------------
@@ -171,6 +187,14 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._zech is not None:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = self._log[a]
+            z = self._zech[self._log[b] - la]
+            return 0 if z is None else self._exp[la + z]
         return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
 
     def sub(self, a, b):
@@ -178,6 +202,8 @@ class FiniteField:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._zech is not None:
+            return self.add(a, self.neg(b))
         return self.encode(x - y for x, y in zip(self.decode(a), self.decode(b)))
 
     def neg(self, a):
@@ -185,6 +211,8 @@ class FiniteField:
             return (-a) % self.p
         if self.p == 2:
             return a
+        if self._zech is not None:
+            return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
         return self.encode(-x for x in self.decode(a))
 
     def mul(self, a, b):
@@ -193,7 +221,7 @@ class FiniteField:
         if a == 0 or b == 0:
             return 0
         if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+            return self._exp[self._log[a] + self._log[b]]
         return self._raw_mul(a, b)
 
     def inv(self, a):
@@ -202,7 +230,7 @@ class FiniteField:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         if self._log is not None:
-            return self._exp[(-self._log[a]) % (self.order - 1)]
+            return self._exp[self.order - 1 - self._log[a]]
         return self.pow_rep(a, self.order - 2)
 
     def div(self, a, b):

@@ -176,10 +176,14 @@ def parse_element(text, field):
 
 
 def parse_generators(text):
-    try:
-        gens = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
+    """A comma-separated list of ASCII digit runs, spaces around each
+    allowed and empty entries skipped.  Every generator is at most
+    ORDER_LIMIT, so the smallest, which sizes the Apery table, is too."""
+    toks = [tok.strip() for tok in text.split(",")]
+    if any(tok and not _DIGITS.issuperset(tok) for tok in toks):
         raise InputError(f"bad generator list {text!r}")
+    gens = [_bounded(tok, ORDER_LIMIT, "generators must be at most 2^20")
+            for tok in toks if tok]
     if not gens or any(g <= 0 for g in gens):
         raise InputError("generators must be positive integers")
     return gens

@@ -5,10 +5,12 @@ the polynomial arithmetic: `_list_mul` is the one coefficient-list multiply
 (UniPoly products, hence the Rabin test in `fields`; the truncated series
 products in `branch`; the Newton series inverse `_ser_inv`; and UniPoly
 division over GF(p) above `_NEWTON_CUTOFF`, a truncated product of the
-reversed dividend with that inverse), and `BiPoly.substitute_binomial` is
-the one linear change of variables (X -> X + c*Y^k, Y -> Y + c*X, every
-blowup and chart map).  A value at a point is the one Horner
-`UniPoly.eval_rep`; a bivariate polynomial is first specialized at X
+reversed dividend with that inverse); over GF(p^k) with log tables it
+multiplies over the logs of the nonzero coefficients, taken once per
+operand.  `BiPoly.substitute_binomial` is the one linear change of
+variables (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
+value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
+the field has tables); a bivariate polynomial is first specialized at X
 (`BiPoly.specialize_x`).
 The Y-resultant of two bivariate polynomials is computed by Brown's
 subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X];
@@ -88,7 +90,21 @@ def _list_mul(a, b, field, trunc=None):
     n = len(a) + len(b) - 1
     if trunc is not None and trunc < n:
         n = trunc
-    if field.k == 1 and len(a) * len(b) >= _KRONECKER_CUTOFF:
+    log = field._log
+    if log is not None:
+        # GF(p^k) with tables: logs of the nonzero coefficients taken once,
+        # each product one exp lookup
+        exp, add = field._exp, field.add
+        la = [(i, log[c]) for i, c in enumerate(a[:n]) if c]
+        lb = [(j, log[c]) for j, c in enumerate(b[:n]) if c]
+        out = [0] * n
+        for i, x in la:
+            m = n - i
+            for j, y in lb:
+                if j >= m:
+                    break
+                out[i + j] = add(out[i + j], exp[x + y])
+    elif field.k == 1 and len(a) * len(b) >= _KRONECKER_CUTOFF:
         out = _kronecker_mul(a, b, field.p, n)
     else:
         out = [0] * n
@@ -254,9 +270,16 @@ class UniPoly:
         return self.scale(self.field.inv(self.lc))
 
     def eval_rep(self, x):
-        """The one Horner kernel: value at a field rep x."""
+        """The one Horner kernel: value at a field rep x; with log tables
+        each step acc*x is one exp lookup at log(acc) + log(x)."""
         f = self.field
         acc = 0
+        log = f._log
+        if log is not None and x:
+            exp, add, lx = f._exp, f.add, log[x]
+            for c in reversed(self.coeffs):
+                acc = add(exp[log[acc] + lx], c) if acc else c
+            return acc
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
         return acc
@@ -487,8 +510,10 @@ class BiPoly:
     def specialize_x(self, x):
         """P(x, Y) as a polynomial in Y, for a field rep x."""
         f = self.field
-        out = [0] * (self.deg_y + 1 if self.terms else 0)
+        out = []
         for (i, j), c in self.terms.items():
+            if j >= len(out):
+                out += [0] * (j + 1 - len(out))
             out[j] = f.add(out[j], f.mul(c, f.pow_rep(x, i)))
         return UniPoly(f, out, "Y")
 

@@ -161,6 +161,15 @@ def test_flags(argv, files):
     _run([files.get(a, a) for a in argv])
 
 
+@pytest.mark.parametrize("gens", ["\u0663,\u0664", "1_0,3", " +4, 3", NINES,
+                                  "3," + NINES, "1048577,1048578"])
+def test_generators_outside_the_grammar(gens):
+    """Non-ASCII digits, underscores, signs and generators above 2^20 are
+    input errors, answered at once."""
+    code, seconds, _ = _run(["semigroup", "stats", "--gens", gens])
+    assert code == 1 and seconds < 1
+
+
 @pytest.mark.parametrize("name", ["missing", "dir", "golden", "empty",
                                   "comments", "malformed", "zero_den",
                                   "two_slashes", "bad_bracket",

@@ -1,6 +1,7 @@
 import itertools
 import random
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from weiersem import (FiniteField, PreconditionError, am_sequence,
                       min_distance_exact, normalize_degree, parametrize,
                       parse_field, parse_poly, semigroup_at_infinity,
                       triangulate)
-from weiersem.codes import _echelon, _nullspace
+from weiersem.codes import _echelon, _nullspace, _values
 
 
 @pytest.fixture(scope="module")
@@ -409,3 +410,18 @@ def test_bidim_syndrome_evaluates_only_the_error_support(golden_model,
                            match=rf"pole order {i} has a pole at point #1 = "
                                  r"\(1, 1\)$"):
             bidim_syndrome(table, pts, err, i, j)
+
+
+def test_values_fold_a_constant_denominator():
+    """A constant denominator is inverted once and folded into the
+    numerator, a non-constant one is evaluated: both give num/den."""
+    base, ext = FiniteField(5), FiniteField(5, 2)
+    embed = base.embedding_into(ext)
+    num = parse_poly("X^2+2*X*Y+3", base)
+    for den in (parse_poly("3", base), parse_poly("Y^2+X+2", base)):
+        fn = SimpleNamespace(num=num, den=den, value=0)
+        N, D = num.lift(ext, embed), den.lift(ext, embed)
+        pts = [(x, y) for x in range(ext.order)
+               for y in range(0, ext.order, 4) if D.eval_rep(x, y)]
+        want = [ext.div(N.eval_rep(x, y), D.eval_rep(x, y)) for x, y in pts]
+        assert list(_values(fn, enumerate(pts), ext, embed)) == want

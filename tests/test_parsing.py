@@ -2,6 +2,7 @@ import pytest
 
 from weiersem import (BiPoly, InputError, parse_field, parse_generators,
                       parse_poly, parse_rational)
+from weiersem.fields import ORDER_LIMIT
 from weiersem.polynomials import DEGREE_LIMIT
 
 
@@ -83,3 +84,15 @@ def test_parse_generators():
         parse_generators("9,0,8")
     with pytest.raises(InputError):
         parse_generators("a,b")
+
+
+def test_parse_generators_grammar_and_cap():
+    assert parse_generators(" 3 , 4 ,") == [3, 4]
+    assert parse_generators(f"{ORDER_LIMIT},3") == [ORDER_LIMIT, 3]
+    for bad in ("\u0663,\u0664", "1_0,3", " +4, 3", "-3,4", "3 4", "3.0,4"):
+        with pytest.raises(InputError, match="bad generator list"):
+            parse_generators(bad)
+    for bad in (f"{ORDER_LIMIT + 1},{ORDER_LIMIT + 2}", "3," + "9" * 5000,
+                "0" * 5000 + "1048577"):
+        with pytest.raises(InputError, match="at most 2\\^20"):
+            parse_generators(bad)
