@@ -10,16 +10,18 @@ orders of truncated power series, with exact leading coefficients; for
 polynomials the resultant degree provides an independent backend.
 
 The chart map and every blowup are calls of the one substitution
-primitive `BiPoly.substitute_binomial`, every series product is the one
-coefficient-list multiply `polynomials._list_mul`, truncated, and every
-reciprocal is the one Newton series inverse `polynomials._ser_inv`.  Every
-polynomial is evaluated at series in one of two ways, each where it is
-cheaper: the Newton step runs the Horner kernel `_ser_horner` over the
-Y-coefficients of G and G_s, which are already series in t; the
+primitive `BiPoly.substitute_binomial`, every series product and every
+sum of products is the one coefficient-list multiply-add
+`polynomials._list_mul`, truncated, and every reciprocal is the one Newton
+series inverse `polynomials._ser_inv`.  Every polynomial is evaluated at
+series in one of two ways, each where it is cheaper: the Newton step runs
+`_ser_horner`, a baby-step/giant-step (Paterson-Stockmeyer) evaluation,
+over the Y-coefficients of G and G_s, which are already series in t; the
 local-equation check and the valuations pull back through `_pullback`,
 which keeps cached powers of the chart coordinates.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,17 +57,6 @@ def _ser_pad(a, prec):
     return a + [0] * (prec - len(a))
 
 
-def _ser_add(a, b, field):
-    n = max(len(a), len(b))
-    a = _ser_pad(a, n)
-    b = _ser_pad(b, n)
-    return [field.add(x, y) for x, y in zip(a, b)]
-
-
-def _ser_scale(a, c, field):
-    return [field.mul(x, c) for x in a]
-
-
 def _ser_mul(a, b, field, prec):
     return _ser_pad(_list_mul(a[:prec], b[:prec], field, prec), prec)
 
@@ -78,11 +69,24 @@ def _ser_ord(a):
 
 
 def _ser_horner(coeffs, x, field, prec):
-    """The one Horner kernel: sum_j coeffs[j] * x^j for series coeffs[j]
-    (rep lists of any length) and x, truncated to prec terms."""
+    """sum_j coeffs[j] * x^j for series coeffs[j] (rep lists of any
+    length) and x, truncated to prec terms, by baby-step/giant-step
+    (Paterson-Stockmeyer): with b = ceil(sqrt(len(coeffs))), each chunk of
+    b rows is summed against the baby steps x^0, ..., x^(b-1), and the
+    chunk sums are joined by Horner in x^b, so about 2*sqrt(len(coeffs))
+    full-length products are taken in place of len(coeffs)."""
+    b = math.isqrt(len(coeffs) - 1) + 1 if coeffs else 1
+    x = x[:prec]
+    pw = [[1]]
+    for _ in range(b):
+        pw.append(_list_mul(pw[-1], x, field, prec))
+    xb = pw.pop()
     acc = []
-    for c in reversed(coeffs):
-        acc = _ser_add(_ser_mul(acc, x, field, prec), c[:prec], field)
+    for k in reversed(range(0, len(coeffs), b)):
+        inner = []
+        for r, row in enumerate(coeffs[k:k + b]):
+            inner = _list_mul(row[:prec], pw[r], field, prec, inner)
+        acc = _list_mul(acc, xb, field, prec, inner)
     return _ser_pad(acc, prec)
 
 
@@ -322,7 +326,7 @@ class BranchParam:
         field = self.field
         d = int(g.total_degree)
         prec = self.precision
-        acc = [0] * prec
+        acc = []
         for (i, j), c in g.terms.items():
             zexp = d - i - j
             aexp = j if self.chart == "x" else i
@@ -330,8 +334,8 @@ class BranchParam:
             if zexp:
                 term = _ser_mul(term, self._power(self._pow_b, self.v, zexp),
                                 field, prec)
-            acc = _ser_add(acc, _ser_scale(term, c, field), field)
-        return acc, d
+            acc = _list_mul(term, [c], field, prec, acc)
+        return _ser_pad(acc, prec), d
 
     def valuation_poly(self, g):
         """(order, leading coeff) of a nonzero polynomial reduced mod F."""

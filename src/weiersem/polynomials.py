@@ -1,14 +1,17 @@
 """Dense univariate and sparse bivariate polynomials over a finite field.
 
 Coefficients are stored as integer field reps.  Two single kernels carry
-the polynomial arithmetic: `_list_mul` is the one coefficient-list multiply
-(UniPoly products, hence the Rabin test in `fields`; the truncated series
+the polynomial arithmetic: `_list_mul` is the one coefficient-list
+multiply-add c + a*b, optionally truncated (UniPoly products, hence the
+Rabin test in `fields`; the truncated series products and sums of
 products in `branch`; the Newton series inverse `_ser_inv`; and UniPoly
 division over GF(p) above `_NEWTON_CUTOFF`, a truncated product of the
-reversed dividend with that inverse); over GF(p^k) with log tables it
-multiplies over the logs of the nonzero coefficients, taken once per
-operand.  `BiPoly.substitute_binomial` is the one linear change of
-variables (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
+reversed dividend with that inverse); over GF(p) it packs long operands
+and c into big integers (`_kronecker_mul`), and over GF(p^k) with log
+tables it multiplies over the logs of the nonzero coefficients, taken
+once per operand, and GF(2^k) accumulates by XOR.
+`BiPoly.substitute_binomial` is the one linear change of variables
+(X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
 value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
 the field has tables); a bivariate polynomial is first specialized at X
 (`BiPoly.specialize_x`).
@@ -49,16 +52,19 @@ _SLOTS = sorted({array(tc).itemsize: tc for tc in "BHILQ"}.items())
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _kronecker_mul(a, b, p, n_out):
-    """First n_out coefficients of the product of two coefficient lists
-    over GF(p), p prime, by packing them into one big integer each (exact;
+def _kronecker_mul(a, b, p, n_out, c=()):
+    """First n_out coefficients of c + a*b for coefficient lists over
+    GF(p), p prime, by packing them into one big integer each (exact;
     fast for long operands).
 
     A slot is the narrowest array item of 1, 2, 4 or 8 bytes that holds
-    min(len)*(p-1)^2, so packing and unpacking are whole-buffer array
-    conversions.  Eight bytes always suffice: p <= 2^20 (ORDER_LIMIT) and
-    no operand reaches 2^24 coefficients."""
+    min(len)*(p-1)^2, plus p-1 when there is an addend c, so packing and
+    unpacking are whole-buffer array conversions.  Eight bytes always
+    suffice: p <= 2^20 (ORDER_LIMIT) and no operand reaches 2^24
+    coefficients."""
     bound = min(len(a), len(b)) * (p - 1) * (p - 1)
+    if c:
+        bound += p - 1
     for width, tc in _SLOTS:
         if bound >> (8 * width) == 0:
             break
@@ -66,8 +72,10 @@ def _kronecker_mul(a, b, p, n_out):
         raise InconsistencyError(
             f"Kronecker slot overflow: {bound} needs more than 8 bytes")
     prod = _pack(a, tc) * _pack(b, tc)
+    if c:
+        prod += _pack(c, tc)
     out = array(tc)
-    out.frombytes(prod.to_bytes((len(a) + len(b) - 1) * width,
+    out.frombytes(prod.to_bytes(max(len(a) + len(b) - 1, len(c)) * width,
                                 "little")[:n_out * width])
     if _BIG_ENDIAN:
         out.byteswap()
@@ -82,22 +90,27 @@ def _pack(a, tc):
     return int.from_bytes(arr.tobytes(), "little")
 
 
-def _list_mul(a, b, field, trunc=None):
-    """The coefficient-list multiply: a*b without trailing zeros, or only
-    its first `trunc` coefficients (truncated power series)."""
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
+def _list_mul(a, b, field, trunc=None, c=()):
+    """The coefficient-list multiply-add: c + a*b without trailing zeros,
+    or only its first `trunc` coefficients (truncated power series)."""
+    n = len(a) + len(b) - 1 if a and b else 0
+    if len(c) > n:
+        n = len(c)
     if trunc is not None and trunc < n:
         n = trunc
     log = field._log
-    if log is not None:
+    if not a or not b:
+        out = list(c[:n])
+    elif log is not None:
         # GF(p^k) with tables: logs of the nonzero coefficients taken once,
-        # each product one exp lookup
-        exp, add = field._exp, field.add
-        la = [(i, log[c]) for i, c in enumerate(a[:n]) if c]
-        lb = [(j, log[c]) for j, c in enumerate(b[:n]) if c]
+        # each product one exp lookup; characteristic 2 adds by XOR
+        exp = field._exp
+        add = operator.xor if field.p == 2 else field.add
+        la = [(i, log[x]) for i, x in enumerate(a[:n]) if x]
+        lb = [(j, log[y]) for j, y in enumerate(b[:n]) if y]
         out = [0] * n
+        if c:
+            out[:len(c)] = c[:n]
         for i, x in la:
             m = n - i
             for j, y in lb:
@@ -105,9 +118,11 @@ def _list_mul(a, b, field, trunc=None):
                     break
                 out[i + j] = add(out[i + j], exp[x + y])
     elif field.k == 1 and len(a) * len(b) >= _KRONECKER_CUTOFF:
-        out = _kronecker_mul(a, b, field.p, n)
+        out = _kronecker_mul(a, b, field.p, n, c)
     else:
         out = [0] * n
+        if c:
+            out[:len(c)] = c[:n]
         mul, add = field.mul, field.add
         lb = len(b)
         for i, ai in enumerate(a[:n]):
@@ -276,7 +291,8 @@ class UniPoly:
         acc = 0
         log = f._log
         if log is not None and x:
-            exp, add, lx = f._exp, f.add, log[x]
+            exp, lx = f._exp, log[x]
+            add = operator.xor if f.p == 2 else f.add
             for c in reversed(self.coeffs):
                 acc = add(exp[log[acc] + lx], c) if acc else c
             return acc

@@ -6,9 +6,8 @@ from weiersem import (BiPoly, FiniteField, InconsistencyError, InputError,
                       PreconditionError, branch, normalize_degree,
                       parse_field, parse_poly, parse_rational, parametrize,
                       valuation, valuation_by_resultant)
-from weiersem.branch import (DEFAULT_PRECISION_CEILING, _ser_add,
-                             _ser_horner, _ser_mul, _ser_pad,
-                             precision_ceiling)
+from weiersem.branch import (DEFAULT_PRECISION_CEILING, _ser_horner,
+                             _ser_mul, _ser_pad, precision_ceiling)
 from weiersem.polynomials import _KRONECKER_CUTOFF
 
 F5 = parse_field("GF(5)")
@@ -268,15 +267,19 @@ def test_ser_horner_against_naive(field, prec):
     # 5*5 < _KRONECKER_CUTOFF <= 20*20: both _list_mul paths over GF(7)
     assert (prec * prec >= _KRONECKER_CUTOFF) == (prec == 20)
     rng = random.Random(31 * prec + field.order)
-    for _ in range(8):
-        # coefficient series shorter and longer than prec, some empty
-        coeffs = [_random_series(rng, field, rng.randrange(2 * prec + 3))
-                  for _ in range(rng.randrange(7))]
-        x = _random_series(rng, field, rng.randrange(1, prec + 4))
-        expected = [0] * prec
-        for c, xj in zip(coeffs, _naive_powers(x, field, prec, len(coeffs))):
-            expected = _ser_add(expected, _ser_mul(c, xj, field, prec), field)
-        assert _ser_horner(coeffs, x, field, prec) == expected
+    # chunks of b = ceil(sqrt(rows)) rows: every chunk shape, full and with
+    # a short last chunk, and the single-row Horner case
+    for rows in (0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 40):
+        for _ in range(2):
+            # coefficient series shorter and longer than prec, some empty
+            coeffs = [_random_series(rng, field, rng.randrange(2 * prec + 3))
+                      for _ in range(rows)]
+            x = _random_series(rng, field, rng.randrange(1, prec + 4))
+            expected = [0] * prec
+            for c, xj in zip(coeffs, _naive_powers(x, field, prec, rows)):
+                term = _ser_mul(c, xj, field, prec)
+                expected = [field.add(s, t) for s, t in zip(expected, term)]
+            assert _ser_horner(coeffs, x, field, prec) == expected
 
 
 @pytest.mark.parametrize("field_text, curve", [

@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -202,24 +203,37 @@ def _naive_product(a, b, field):
 @pytest.mark.parametrize("p,k,la,lb", [
     (5, 1, 4, 5),      # 20 < _KRONECKER_CUTOFF: schoolbook
     (5, 1, 9, 12),     # 108 >= _KRONECKER_CUTOFF: packed big-integer path
-    (2, 3, 9, 12),
+    (2, 3, 9, 12),     # log tables
     (3, 2, 9, 12),
+    # all ones: a*b fits a 1-byte Kronecker slot (255), c + a*b does not
+    (2, 1, 255, 255),
 ])
 def test_list_mul_against_double_loop(p, k, la, lb):
     F = FiniteField(p, k)
-    assert (la * lb >= _KRONECKER_CUTOFF) == (la == 9)
+    assert (la * lb >= _KRONECKER_CUTOFF) == (la >= 9)
     rng = random.Random(100 * p + la)
-    for _ in range(10):
-        a = [rng.randrange(F.order) for _ in range(la)]
-        b = [rng.randrange(F.order) for _ in range(lb)]
-        a[-1] = b[-1] = 0          # trailing zeros in, none out
+    n = la + lb - 1
+    # the 255-long case is there for its all-ones trial alone
+    for trial in range(10 if la < 255 else 1):
+        if trial == 0:             # the largest coefficients of GF(p)
+            a, b = [p - 1] * la, [p - 1] * lb
+        else:
+            a = [rng.randrange(F.order) for _ in range(la)]
+            b = [rng.randrange(F.order) for _ in range(lb)]
+            a[-1] = b[-1] = 0      # trailing zeros in, none out
         full = _naive_product(a, b, F)
-        n = len(full)
-        for trunc in (None, 1, n // 2, n - 1, n, n + 7):
-            expected = full[:trunc] if trunc is not None else full[:]
-            while expected and expected[-1] == 0:
-                expected.pop()
-            assert _list_mul(a, b, F, trunc) == expected
+        # addend c: empty, shorter than, as long as and longer than a*b
+        for lc in (0, n // 2, n, n + 5):
+            c = ([p - 1] * lc if trial == 0 else
+                 [rng.randrange(F.order) for _ in range(lc)])
+            total = [F.add(x, y) for x, y in zip_longest(full, c, fillvalue=0)]
+            for trunc in (None, *range(len(total) + 2)):
+                expected = total[:trunc]
+                while expected and expected[-1] == 0:
+                    expected.pop()
+                assert _list_mul(a, b, F, trunc, c) == expected
+                if not c:
+                    assert _list_mul(a, b, F, trunc) == expected
 
 
 def _ring_map_fields():
