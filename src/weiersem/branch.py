@@ -19,6 +19,10 @@ series in one of two ways, each where it is cheaper: the Newton step runs
 over the Y-coefficients of G and G_s, which are already series in t; the
 local-equation check and the valuations pull back through `_pullback`,
 which keeps cached powers of the chart coordinates.
+
+A series truncated to prec terms is a rep list of at most prec entries,
+the entries past its end zero: exactly what `_list_mul(a, b, field, prec)`
+and `_ser_inv` return, so no series is ever padded or re-trimmed.
 """
 
 import math
@@ -49,17 +53,7 @@ def precision_ceiling():
     return ceiling
 
 
-# -- truncated power series as fixed-length rep lists ----------------------
-
-def _ser_pad(a, prec):
-    if len(a) >= prec:
-        return a[:prec]
-    return a + [0] * (prec - len(a))
-
-
-def _ser_mul(a, b, field, prec):
-    return _ser_pad(_list_mul(a[:prec], b[:prec], field, prec), prec)
-
+# -- truncated power series: rep lists of at most prec entries -------------
 
 def _ser_ord(a):
     for i, c in enumerate(a):
@@ -70,11 +64,12 @@ def _ser_ord(a):
 
 def _ser_horner(coeffs, x, field, prec):
     """sum_j coeffs[j] * x^j for series coeffs[j] (rep lists of any
-    length) and x, truncated to prec terms, by baby-step/giant-step
-    (Paterson-Stockmeyer): with b = ceil(sqrt(len(coeffs))), each chunk of
-    b rows is summed against the baby steps x^0, ..., x^(b-1), and the
-    chunk sums are joined by Horner in x^b, so about 2*sqrt(len(coeffs))
-    full-length products are taken in place of len(coeffs)."""
+    length) and x, as a series of at most prec entries, by
+    baby-step/giant-step (Paterson-Stockmeyer): with
+    b = ceil(sqrt(len(coeffs))), each chunk of b rows is summed against
+    the baby steps x^0, ..., x^(b-1), and the chunk sums are joined by
+    Horner in x^b, so about 2*sqrt(len(coeffs)) full-length products are
+    taken in place of len(coeffs)."""
     b = math.isqrt(len(coeffs) - 1) + 1 if coeffs else 1
     x = x[:prec]
     pw = [[1]]
@@ -87,7 +82,7 @@ def _ser_horner(coeffs, x, field, prec):
         for r, row in enumerate(coeffs[k:k + b]):
             inner = _list_mul(row[:prec], pw[r], field, prec, inner)
         acc = _list_mul(acc, xb, field, prec, inner)
-    return _ser_pad(acc, prec)
+    return acc
 
 
 # -- tangent detection -----------------------------------------------------
@@ -196,7 +191,10 @@ class Valuation:
 
 class BranchParam:
     """Truncated parametrization (u(t), v(t)) of the branch at infinity in
-    the local chart; refinable; single-threaded use (internal caches)."""
+    the local chart; refinable; single-threaded use (internal caches).
+
+    u and v hold at most `precision` coefficients each; the coefficients
+    past their ends, up to `precision`, are zero."""
 
     def __init__(self, model, precision=None):
         self.model = model
@@ -247,19 +245,18 @@ class BranchParam:
         # the Y-coefficients of G are polynomials in t, i.e. series in t
         rows = [list(c.coeffs) for c in G.y_coeffs()]
         drows = [list(c.coeffs) for c in G.derivative_y().y_coeffs()]
-        s = [0]
+        minus_one = [field.neg(1)]
+        s = []
         cur = 1
         while cur < prec:
             cur = min(2 * cur, prec)
-            s = _ser_pad(s, cur)
             g_at = _ser_horner(rows, s, field, cur)
             gs_at = _ser_horner(drows, s, field, cur)
-            corr = _ser_mul(g_at, _ser_inv(gs_at, field, cur), field, cur)
-            s = [field.sub(x, y) for x, y in zip(s, corr)]
-        s = _ser_pad(s, prec)
+            corr = _list_mul(g_at, _ser_inv(gs_at, field, cur), field, cur)
+            s = _list_mul(corr, minus_one, field, cur, s)
         if any(_ser_horner(rows, s, field, prec)):
             raise InconsistencyError("terminal Newton expansion failed")
-        return _ser_pad([0, 1], prec), s
+        return [0, 1], s
 
     def _compute_series(self, prec):
         if prec > self.ceiling:
@@ -274,19 +271,16 @@ class BranchParam:
             u, v = s, t_series
         for step in reversed(self._steps):
             if step.kind == "v":
-                shifted = v[:]
-                shifted[0] = field.add(shifted[0], step.lam)
-                u, v = u, _ser_mul(u, shifted, field, prec)
+                shifted = _list_mul([step.lam], [1], field, prec, v)
+                v = _list_mul(u, shifted, field, prec)
             else:
-                u, v = _ser_mul(v, u, field, prec), v
+                u = _list_mul(v, u, field, prec)
         self.u = u
         self.v = v
         self.precision = prec
-        self._pow_a = {0: _ser_pad([1], prec)}
-        self._pow_b = {0: _ser_pad([1], prec)}
-        a = u[:]
-        a[0] = field.add(a[0], self.lam)
-        self._a = a
+        self._pow_a = [[1]]
+        self._pow_b = [[1]]
+        self._a = _list_mul([self.lam], [1], field, prec, u)
         # v^D * F(X, Y) along the branch is the local equation G0(u, v)
         if any(self._pullback(self.model.equation)[0]):
             raise InconsistencyError("parametrization does not annihilate "
@@ -310,13 +304,9 @@ class BranchParam:
         self._compute_series(precision)
 
     def _power(self, cache, base, e):
-        if e not in cache:
-            m = max(k for k in cache if k <= e)
-            cur = cache[m]
-            while m < e:
-                cur = _ser_mul(cur, base, self.field, self.precision)
-                m += 1
-                cache[m] = cur
+        while len(cache) <= e:
+            cache.append(_list_mul(cache[-1], base, self.field,
+                                   self.precision))
         return cache[e]
 
     # -- pullbacks and valuations --------------------------------------
@@ -332,10 +322,11 @@ class BranchParam:
             aexp = j if self.chart == "x" else i
             term = self._power(self._pow_a, self._a, aexp)
             if zexp:
-                term = _ser_mul(term, self._power(self._pow_b, self.v, zexp),
-                                field, prec)
+                term = _list_mul(term,
+                                 self._power(self._pow_b, self.v, zexp),
+                                 field, prec)
             acc = _list_mul(term, [c], field, prec, acc)
-        return _ser_pad(acc, prec), d
+        return acc, d
 
     def valuation_poly(self, g):
         """(order, leading coeff) of a nonzero polynomial reduced mod F."""
@@ -355,13 +346,8 @@ class BranchParam:
                         f"ceiling {self.ceiling}")
             self.refine(target)
         series, d = self._pullback(g)
-        bound = d * self.pole_order
-        o = None
-        for idx in range(min(bound + 1, len(series))):
-            if series[idx]:
-                o = idx
-                break
-        if o is None:
+        o = _ser_ord(series)
+        if o is None or o > d * self.pole_order:
             raise InconsistencyError(
                 "pullback series vanished beyond its pole bound; "
                 "the function is zero on the branch")
@@ -388,31 +374,6 @@ class BranchParam:
         o2, c2 = self.valuation_poly(den_red)
         return Valuation(order=o1 - o2,
                          leading=FieldElement(field, field.div(c1, c2)))
-
-    # -- Laurent views of the affine coordinates ------------------------
-
-    def _laurent(self, num_series, den_series):
-        on, od = _ser_ord(num_series), _ser_ord(den_series)
-        if on is None:
-            return 0, [0]
-        n = num_series[on:]
-        dd = den_series[od:]
-        prec = self.precision - max(on, od)
-        inv = _ser_inv(dd, self.field, prec)
-        return on - od, _ser_mul(_ser_pad(n, prec), inv, self.field, prec)
-
-    def x_series(self):
-        """(offset, coeffs): X(t) = t^offset * (coeffs[0] + coeffs[1] t + ...)."""
-        one = _ser_pad([1], self.precision)
-        if self.chart == "x":
-            return self._laurent(one, self.v)
-        return self._laurent(self._a, self.v)
-
-    def y_series(self):
-        one = _ser_pad([1], self.precision)
-        if self.chart == "x":
-            return self._laurent(self._a, self.v)
-        return self._laurent(one, self.v)
 
 
 def parametrize(model, precision=None):

@@ -17,9 +17,9 @@ from .curves import am_sequence, normalize_degree, one_branch_criterion, \
     semigroup_at_infinity
 from .errors import HypothesisError, InconsistencyError, InputError, \
     PreconditionError
-from .fields import FiniteField
-from .parsing import parse_element, parse_field, parse_generators, \
-    parse_poly, parse_rational
+from .fields import ORDER_LIMIT, FiniteField
+from .parsing import parse_count, parse_element, parse_field, \
+    parse_generators, parse_poly, parse_rational
 from .semigroups import NumericalSemigroup
 from .weierstrass import l_basis, triangulate
 
@@ -27,6 +27,11 @@ from .weierstrass import l_basis, triangulate
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
+
+
+def _count(flag, cap):
+    """argparse type of a flag read by parse_count."""
+    return lambda text: parse_count(text, cap, flag)
 
 
 def _add_curve_flags(p):
@@ -52,7 +57,9 @@ def build_parser():
     for name in ("stats", "apery", "nu", "fengrao", "symmetric", "q0"):
         p = sg_sub.add_parser(name)
         p.add_argument("--gens", required=True, help="e.g. 9,3,8")
-        p.add_argument("--pivot", type=int, default=None)
+        # the pivot sizes the Apery table, as the smallest generator does
+        p.add_argument("--pivot", type=_count("--pivot", ORDER_LIMIT),
+                       default=None)
         if name in ("nu", "fengrao"):
             p.add_argument("--m", type=int, default=None)
             p.add_argument("--m-range", default=None, metavar="A:B")
@@ -70,7 +77,8 @@ def build_parser():
         p = code_sub.add_parser(name)
         _add_curve_flags(p)
         p.add_argument("--integral-basis", required=True, metavar="FILE")
-        p.add_argument("--ext", type=int, required=True,
+        p.add_argument("--ext", required=True,
+                       type=_count("--ext", ORDER_LIMIT.bit_length() - 1),
                        help="extension degree for point enumeration")
         if name == "build":
             p.add_argument("--m", type=int, required=True)

@@ -97,7 +97,7 @@ class FiniteField:
             raise InputError(f"characteristic {p} is not prime")
         if k < 1:
             raise InputError("extension degree must be >= 1")
-        if p ** k > ORDER_LIMIT:
+        if k > ORDER_LIMIT.bit_length() - 1 or p ** k > ORDER_LIMIT:
             raise InputError(f"field order {p}^{k} exceeds the desk-scale "
                              f"limit 2^20")
         self.p = p

@@ -175,6 +175,15 @@ def parse_element(text, field):
     return _t_value(terms, field)
 
 
+def parse_count(text, cap, flag):
+    """A flag value as an ASCII digit run of at most cap; other digits,
+    signs and underscores are input errors, as in a generator list."""
+    if not text or not _DIGITS.issuperset(text):
+        raise InputError(f"{flag} must be a nonnegative integer in ASCII "
+                         f"digits, got {text!r}")
+    return _bounded(text, cap, f"{flag} must be at most {cap}")
+
+
 def parse_generators(text):
     """A comma-separated list of ASCII digit runs, spaces around each
     allowed and empty entries skipped.  Every generator is at most

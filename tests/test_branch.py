@@ -7,8 +7,8 @@ from weiersem import (BiPoly, FiniteField, InconsistencyError, InputError,
                       parse_field, parse_poly, parse_rational, parametrize,
                       valuation, valuation_by_resultant)
 from weiersem.branch import (DEFAULT_PRECISION_CEILING, _ser_horner,
-                             _ser_mul, _ser_pad, precision_ceiling)
-from weiersem.polynomials import _KRONECKER_CUTOFF
+                             precision_ceiling)
+from weiersem.polynomials import _KRONECKER_CUTOFF, _list_mul
 
 F5 = parse_field("GF(5)")
 F7 = parse_field("GF(7)")
@@ -154,20 +154,36 @@ def test_precision_stability(cusp_model):
     assert v1 == v2
 
 
+def _pad(a, prec):
+    """The series a as exactly prec coefficients: cut, or zero-filled."""
+    return list(a[:prec]) + [0] * (prec - len(a))
+
+
 def test_refinement_extends_prefix(cusp_model):
     p1 = parametrize(cusp_model, precision=12)
-    u1, v1 = list(p1.u), list(p1.v)
+    u1, v1 = _pad(p1.u, 12), _pad(p1.v, 12)
     p1.refine(40)
-    assert p1.u[:12] == u1
-    assert p1.v[:12] == v1
+    assert _pad(p1.u, 12) == u1
+    assert _pad(p1.v, 12) == v1
     assert p1.precision >= 40
 
 
-def test_laurent_views(cusp_param):
-    xoff, xser = cusp_param.x_series()
-    yoff, yser = cusp_param.y_series()
-    assert xoff == -2 and xser[0] != 0
-    assert yoff == -3 and yser[0] != 0
+@pytest.mark.parametrize("field_text, curve, precision", [
+    ("GF(2^2)", "Y^2+Y+X^3", None),
+    ("GF(3^2)", "Y^3+Y+X^4", None),
+    ("GF(2^4)", "Y^4+Y+X^5", None),
+    ("GF(2)", "Y^8+Y^2+X^3", None),
+    ("GF(3)", "Y^9+X^10+X^2", None),
+    ("GF(2)", "Y^16+X^5+X^3+1", None),
+    ("GF(2^2)", "X^5+Y^3+[t]", None),     # chart y
+    ("GF(2)", "Y^8+Y^2+X^3", 9),          # refined past the pole order
+])
+def test_series_within_precision(field_text, curve, precision):
+    """u and v carry at most `precision` coefficients."""
+    field = parse_field(field_text)
+    param = parametrize(normalize_degree(parse_poly(curve, field)), precision)
+    assert len(param.u) <= param.precision
+    assert len(param.v) <= param.precision
 
 
 def test_parametrization_annihilates_equation(golden_model, golden_param):
@@ -247,11 +263,16 @@ def test_extension_field_parametrization():
 
 # -- the Horner kernel against term-by-term evaluation -----------------------
 
+def _padded_mul(a, b, field, prec):
+    """The product of a and b as exactly prec coefficients."""
+    return _pad(_list_mul(a[:prec], b[:prec], field, prec), prec)
+
+
 def _naive_powers(x, field, prec, n):
-    """[x^0, ..., x^n] by repeated series products."""
-    powers = [_ser_pad([1], prec)]
+    """[x^0, ..., x^n] by repeated series products, each padded to prec."""
+    powers = [_pad([1], prec)]
     for _ in range(n):
-        powers.append(_ser_mul(powers[-1], x, field, prec))
+        powers.append(_padded_mul(powers[-1], x, field, prec))
     return powers
 
 
@@ -277,9 +298,11 @@ def test_ser_horner_against_naive(field, prec):
             x = _random_series(rng, field, rng.randrange(1, prec + 4))
             expected = [0] * prec
             for c, xj in zip(coeffs, _naive_powers(x, field, prec, rows)):
-                term = _ser_mul(c, xj, field, prec)
+                term = _padded_mul(c, xj, field, prec)
                 expected = [field.add(s, t) for s, t in zip(expected, term)]
-            assert _ser_horner(coeffs, x, field, prec) == expected
+            got = _ser_horner(coeffs, x, field, prec)
+            assert len(got) <= prec
+            assert _pad(got, prec) == expected
 
 
 @pytest.mark.parametrize("field_text, curve", [

@@ -84,8 +84,17 @@ def test_semigroup_stats_and_q0():
     assert "symmetric: yes" in text
     code, text = _run(["semigroup", "q0", "--gens", "8,10,12,13"])
     assert code == 0
-    assert "q0: 25" in text
-    assert "min_formula_from: 30" in text
+    assert text == ("q0: 25\nm0: 29\nsentinel: no\nmin_formula_from: 30\n"
+                    "bound_e0_plus_2: ok\n")
+
+
+def test_semigroup_q0_limit():
+    """e*c above Q0_LIMIT is an input error, answered at once; <1000,1001>
+    (e*c near 10^9) would take minutes."""
+    start = time.perf_counter()
+    code, text = _run(["semigroup", "q0", "--gens", "1000,1001"])
+    assert code == 1 and text == ""
+    assert time.perf_counter() - start < 5
 
 
 def test_semigroup_pivot_flag():

@@ -170,6 +170,34 @@ def test_generators_outside_the_grammar(gens):
     assert code == 1 and seconds < 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", "2000000000"],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", "20000000"],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", "1048577"],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", NINES],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", "\u0663"],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", "1_0"],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", "-5"],
+    ["semigroup", "stats", "--gens", "3,5", "--pivot", " 5"],
+    ["code", "bounds"] + GOLDEN + ["--integral-basis", "golden",
+                                   "--ext", "10000000000", "--m-range", "0:4"],
+    ["code", "build"] + GOLDEN + ["--integral-basis", "golden",
+                                  "--ext", "21", "--m", "5"],
+    ["code", "build"] + GOLDEN + ["--integral-basis", "golden",
+                                  "--ext", NINES, "--m", "5"],
+    ["code", "build"] + GOLDEN + ["--integral-basis", "golden",
+                                  "--ext", "\u0663", "--m", "5"],
+    ["code", "syndrome"] + GOLDEN + ["--integral-basis", "golden",
+                                     "--ext", "1_0", "--m", "3", "--y", "0"],
+])
+def test_integer_flags_outside_the_grammar(flags, files):
+    """--pivot and --ext are ASCII digit runs under their caps (2^20, and
+    20 for the extension degree); anything else is an input error, answered
+    before any work."""
+    code, seconds, _ = _run([files.get(a, a) for a in flags])
+    assert code == 1 and seconds < 1
+
+
 @pytest.mark.parametrize("name", ["missing", "dir", "golden", "empty",
                                   "comments", "malformed", "zero_den",
                                   "two_slashes", "bad_bracket",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -45,6 +46,11 @@ def test_field_mismatch_raises():
 def test_order_limit():
     with pytest.raises(InputError):
         FiniteField(2, 21)
+    # k is checked before p ** k is formed, which would not finish
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        FiniteField(2, 10 ** 10)
+    assert time.perf_counter() - start < 1
 
 
 def test_bad_modulus_rejected():
