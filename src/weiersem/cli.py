@@ -23,6 +23,15 @@ from .parsing import parse_count, parse_element, parse_field, \
 from .semigroups import NumericalSemigroup
 from .weierstrass import l_basis, triangulate
 
+# Caps of the m flags, constants like fields.ORDER_LIMIT (measured on a
+# 2-vCPU Xeon): the m of `lbasis` and `code`, whose L(mP) basis takes about
+# m^2 work (at most 2.2 s at m = 1000, 7.3 s at 2000); the values in one
+# `semigroup` --m-range (2^16 took 1.3 s on <3,4>, 5.2 s on <32,33>); and
+# a `semigroup` m: generators are at most 2^20, so 2^41 > 2c - 2.
+M_LIMIT = 1000
+RANGE_LIMIT = 1 << 16
+SEMIGROUP_M_LIMIT = 2 * ORDER_LIMIT ** 2
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -61,7 +70,8 @@ def build_parser():
         p.add_argument("--pivot", type=_count("--pivot", ORDER_LIMIT),
                        default=None)
         if name in ("nu", "fengrao"):
-            p.add_argument("--m", type=int, default=None)
+            p.add_argument("--m", type=_count("--m", SEMIGROUP_M_LIMIT),
+                           default=None)
             p.add_argument("--m-range", default=None, metavar="A:B")
         if name == "fengrao":
             p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -69,7 +79,7 @@ def build_parser():
     lb = sub.add_parser("lbasis")
     _add_curve_flags(lb)
     lb.add_argument("--integral-basis", required=True, metavar="FILE")
-    lb.add_argument("--m", type=int, required=True)
+    lb.add_argument("--m", type=_count("--m", M_LIMIT), required=True)
 
     code = sub.add_parser("code")
     code_sub = code.add_subparsers(dest="subcommand", required=True)
@@ -81,14 +91,14 @@ def build_parser():
                        type=_count("--ext", ORDER_LIMIT.bit_length() - 1),
                        help="extension degree for point enumeration")
         if name == "build":
-            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--m", type=_count("--m", M_LIMIT), required=True)
             p.add_argument("--improved", action="store_true")
             p.add_argument("--format", choices=("text", "csv"), default="text")
         elif name == "bounds":
             p.add_argument("--m-range", required=True, metavar="A:B")
             p.add_argument("--format", choices=("text", "csv"), default="csv")
         else:
-            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--m", type=_count("--m", M_LIMIT), required=True)
             p.add_argument("--y", required=True,
                            help="received word, comma-separated field elements")
 
@@ -97,12 +107,11 @@ def build_parser():
     return top
 
 
-def _parse_range(text):
-    try:
-        a, b = text.split(":")
-        a, b = int(a), int(b)
-    except ValueError:
+def _parse_range(text, cap):
+    ends = text.split(":")
+    if len(ends) != 2:
         raise InputError(f"bad range {text!r}; expected A:B")
+    a, b = (parse_count(end, cap, "each --m-range end") for end in ends)
     if a > b:
         raise InputError(f"bad range {text!r}: A = {a} exceeds B = {b}")
     return a, b
@@ -267,7 +276,9 @@ def _cmd_semigroup(args, out):
     if args.m is not None:
         m_values = [args.m]
     else:
-        a, b = _parse_range(args.m_range)
+        a, b = _parse_range(args.m_range, SEMIGROUP_M_LIMIT)
+        if b - a >= RANGE_LIMIT:
+            raise InputError(f"--m-range holds more than {RANGE_LIMIT} values")
         m_values = range(a, b + 1)
     if sub == "nu":
         for m in m_values:
@@ -308,7 +319,7 @@ def _points_for(args, report, model):
 def _cmd_code(args, out):
     sub = args.subcommand
     if sub == "bounds":
-        a, b = _parse_range(args.m_range)
+        a, b = _parse_range(args.m_range, M_LIMIT)
     field, model, seq, s_inf, param, report = _pipeline(args)
     ext, points = _points_for(args, report, model)
     if sub == "build":

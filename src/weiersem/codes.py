@@ -8,6 +8,8 @@ specializes F(x, Y) once per x, and a row evaluates num and den at each
 point.  The basis is ordered by pole order, so the rows of C(m) are a
 prefix of the rows of C(m') for every m <= m': one exact row-insertion
 elimination of the largest matrix gives the rank of every C(m) at once.
+Its row operations and the codeword sums of `min_distance_exact` are
+`_list_mul` multiply-adds, so basis rows have no trailing zeros.
 Designed distances combine the Goppa bound with the Feng-Rao distance of
 the Weierstrass semigroup.
 """
@@ -16,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
+from .polynomials import _list_mul
 from .weierstrass import l_basis
 
 
@@ -24,24 +27,23 @@ def _echelon(rows, field):
 
     Returns the reduced basis [(pivot column, row)] of the row space, with
     a 1 at each pivot and 0 in every other basis row's pivot column, and
-    the rank of every prefix rows[:i+1]."""
+    the rank of every prefix rows[:i+1].  A column past the end of a row,
+    as `_list_mul` returns rows, is 0."""
     basis = []
     ranks = []
     for row in rows:
         for pc, prow in basis:
-            c = row[pc]
+            c = row[pc] if pc < len(row) else 0
             if c:
-                row = [field.sub(x, field.mul(c, y))
-                       for x, y in zip(row, prow)]
+                row = _list_mul((field.neg(c),), prow, field, None, row)
         pc = next((col for col, x in enumerate(row) if x), None)
         if pc is not None:
-            inv = field.inv(row[pc])
-            row = [field.mul(x, inv) for x in row]
+            row = _list_mul(row, (field.inv(row[pc]),), field)
             for i, (qc, qrow) in enumerate(basis):
-                c = qrow[pc]
+                c = qrow[pc] if pc < len(qrow) else 0
                 if c:
-                    basis[i] = (qc, [field.sub(x, field.mul(c, y))
-                                     for x, y in zip(qrow, row)])
+                    basis[i] = (qc, _list_mul((field.neg(c),), row, field,
+                                              None, qrow))
             basis.append((pc, row))
         ranks.append(len(basis))
     return basis, ranks
@@ -61,7 +63,7 @@ def _nullspace(rows, field):
         vec = [0] * n
         vec[fc] = 1
         for pc, row in basis:
-            vec[pc] = field.neg(row[fc])
+            vec[pc] = field.neg(row[fc]) if fc < len(row) else 0
         out.append(vec)
     return out
 
@@ -253,12 +255,9 @@ def min_distance_exact(spec):
     for combo in itertools.product(reps, repeat=k):
         if not any(combo):
             continue
-        word = [0] * spec.n
+        word = []
         for c, vec in zip(combo, basis):
-            if c:
-                for idx in range(spec.n):
-                    if vec[idx]:
-                        word[idx] = ext.add(word[idx], ext.mul(c, vec[idx]))
+            word = _list_mul((c,), vec, ext, None, word)
         w = sum(1 for x in word if x)
         if best is None or w < best:
             best = w

@@ -93,13 +93,14 @@ class FiniteField:
     """GF(p^k) with a fixed monic irreducible modulus over GF(p)."""
 
     def __init__(self, p, k=1, modulus=None):
-        if not is_prime(p):
-            raise InputError(f"characteristic {p} is not prime")
         if k < 1:
             raise InputError("extension degree must be >= 1")
+        # before is_prime, whose trial division of a large p would not end
         if k > ORDER_LIMIT.bit_length() - 1 or p ** k > ORDER_LIMIT:
             raise InputError(f"field order {p}^{k} exceeds the desk-scale "
                              f"limit 2^20")
+        if not is_prime(p):
+            raise InputError(f"characteristic {p} is not prime")
         self.p = p
         self.k = k
         self.order = p ** k

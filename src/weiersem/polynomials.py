@@ -2,14 +2,15 @@
 
 Coefficients are stored as integer field reps.  Two single kernels carry
 the polynomial arithmetic: `_list_mul` is the one coefficient-list
-multiply-add c + a*b, optionally truncated (UniPoly products, hence the
-Rabin test in `fields`; the truncated series products and sums of
-products in `branch`; the Newton series inverse `_ser_inv`; and UniPoly
-division over GF(p) above `_NEWTON_CUTOFF`, a truncated product of the
-reversed dividend with that inverse); over GF(p) it packs long operands
-and c into big integers (`_kronecker_mul`), and over GF(p^k) with log
-tables it multiplies over the logs of the nonzero coefficients, taken
-once per operand, and GF(2^k) accumulates by XOR.
+multiply-add c + a*b, optionally truncated (every UniPoly sum, difference,
+negation, scaling and product, hence the Rabin test in `fields`; the
+series products and sums of products in `branch`; the Newton series
+inverse `_ser_inv` and its step; UniPoly division over GF(p) above
+`_NEWTON_CUTOFF`, quotient and remainder; the row operations and codeword
+sums in `codes`); over GF(p) it packs long operands and c into big
+integers (`_kronecker_mul`), and over GF(p^k) with log tables it
+multiplies over the logs of the nonzero coefficients, taken once per
+operand, and GF(2^k) accumulates by XOR.
 `BiPoly.substitute_binomial` is the one linear change of variables
 (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
 value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
@@ -25,7 +26,6 @@ import math
 import operator
 import sys
 from array import array
-from itertools import zip_longest
 
 from .errors import InconsistencyError
 from .fields import FieldElement, power
@@ -138,8 +138,8 @@ def _list_mul(a, b, field, trunc=None, c=()):
 def _ser_inv(a, field, prec):
     """First prec coefficients of 1/a for a unit series a, by Newton
     doubling g <- g*(2 - a*g) mod X^(2k).  Since a*g = 1 + X^k*e mod
-    X^(2k), this is g - X^k*(g*e); both products are truncated
-    `_list_mul` calls."""
+    X^(2k), this is g - X^k*(g*e): a truncated product and a truncated
+    multiply-add, both `_list_mul` calls."""
     if not a or a[0] == 0:
         raise InconsistencyError("series reciprocal of a non-unit")
     g = [field.inv(a[0])]
@@ -148,7 +148,7 @@ def _ser_inv(a, field, prec):
         k2 = min(2 * k, prec)
         e = _list_mul(a[:k2], g, field, k2)[k:]
         corr = _list_mul(g, e, field, k2 - k)
-        g = g + [field.neg(c) for c in corr] + [0] * (k2 - k - len(corr))
+        g = _list_mul(corr, [0] * k + [field.neg(1)], field, k2, g)
         k = k2
     return g[:prec]
 
@@ -200,34 +200,24 @@ class UniPoly:
         return not self.coeffs
 
     def __add__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return UniPoly(f, out, self.var)
+        return UniPoly(self.field, _list_mul(other.coeffs, (1,), self.field,
+                                             None, self.coeffs), self.var)
 
     def __sub__(self, other):
-        sub = self.field.sub
-        return UniPoly(self.field, [sub(x, y) for x, y in zip_longest(
-            self.coeffs, other.coeffs, fillvalue=0)], self.var)
+        f = self.field
+        return UniPoly(f, _list_mul(other.coeffs, (f.neg(1),), f, None,
+                                    self.coeffs), self.var)
 
     def __neg__(self):
-        f = self.field
-        return UniPoly(f, [f.neg(c) for c in self.coeffs], self.var)
+        return self.scale(self.field.neg(1))
 
     def __mul__(self, other):
-        return UniPoly(self.field,
-                       _list_mul(list(self.coeffs), list(other.coeffs), self.field),
-                       self.var)
+        return UniPoly(self.field, _list_mul(self.coeffs, other.coeffs,
+                                             self.field), self.var)
 
     def scale(self, rep):
-        f = self.field
-        if rep == 0:
-            return UniPoly.zero(f, self.var)
-        return UniPoly(f, [f.mul(c, rep) for c in self.coeffs], self.var)
+        return UniPoly(self.field, _list_mul(self.coeffs, (rep,), self.field),
+                       self.var)
 
     def __pow__(self, e):
         return power(self, e, operator.mul, UniPoly.one(self.field, self.var))
@@ -237,8 +227,8 @@ class UniPoly:
 
         Over GF(p) with (deg a - deg b + 1)*len(b) >= _NEWTON_CUTOFF, the
         quotient is rev(a)*rev(b)^-1 mod X^(deg a - deg b + 1) from the
-        series inverse `_ser_inv`, and the remainder is a - q*b on its low
-        deg b coefficients; both products go through `_list_mul`.
+        series inverse `_ser_inv`, and the remainder a - q*b on its low
+        deg b coefficients is one `_list_mul` multiply-add.
         Otherwise the schoolbook loop runs."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -249,10 +239,8 @@ class UniPoly:
         if f.k == 1 and n * len(b) >= _NEWTON_CUTOFF:
             q = _list_mul(a[:-n - 1:-1], _ser_inv(b[:-n - 1:-1], f, n), f, n)
             q = (q + [0] * (n - len(q)))[::-1]
-            qb = _list_mul(q, b, f, dg)
-            return (UniPoly(f, q, self.var),
-                    UniPoly(f, [f.sub(x, y) for x, y in zip_longest(
-                        a[:dg], qb, fillvalue=0)], self.var))
+            r = _list_mul([f.neg(x) for x in q], b, f, dg, a[:dg])
+            return UniPoly(f, q, self.var), UniPoly(f, r, self.var)
         r = list(a)
         inv_lc = f.inv(other.lc)
         q = [0] * max(n, 0)
@@ -280,7 +268,7 @@ class UniPoly:
         return a.monic()
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.lc == 1:
             return self
         return self.scale(self.field.inv(self.lc))
 
@@ -575,6 +563,7 @@ def _prem(f, g, field):
     if df < dg:
         return r
     lcg = g[dg]
+    monic = lcg.coeffs == (1,)
     n = df - dg + 1
     while r and len(r) - 1 >= dg:
         dr = len(r) - 1
@@ -582,7 +571,7 @@ def _prem(f, g, field):
         shift = dr - dg
         new = []
         for i in range(dr):
-            t = r[i] * lcg
+            t = r[i] if monic else r[i] * lcg
             if shift <= i <= shift + dg - 1:
                 t = t - lcr * g[i - shift]
             new.append(t)
@@ -590,7 +579,7 @@ def _prem(f, g, field):
         while r and r[-1].is_zero():
             r.pop()
         n -= 1
-    if n:
+    if n and not monic:
         scale = lcg ** n
         r = [c * scale for c in r]
     return r
@@ -609,16 +598,14 @@ def resultant_y(f, g):
         fl, gl = gl, fl
         n, m = m, n
         negate = (n * m) % 2 == 1 and field.p != 2
-    one = UniPoly.one(field)
     if m < 0:
         return UniPoly.zero(field)
     d = n - m
     b_sign = 1 if (d + 1) % 2 == 0 else field.neg(1)
     h = [c.scale(b_sign) for c in _prem(fl, gl, field)]
     lc = gl[-1]
-    c = lc ** d
-    S = [one, c]
-    c = -c
+    res = lc ** d
+    c = -res
     while h:
         k = len(h) - 1
         fl, gl, m, d = gl, h, k, m - k
@@ -629,9 +616,8 @@ def resultant_y(f, g):
             c = ((-lc) ** d).exact_div(c ** (d - 1))
         else:
             c = -lc
-        S.append(-c)
+        res = -c
     # gl now holds the last nonzero element of the PRS
     if len(gl) - 1 > 0:
         return UniPoly.zero(field)
-    res = S[-1]
     return -res if negate else res

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from weiersem import NumericalSemigroup
-from weiersem.cli import run
+from weiersem.cli import RANGE_LIMIT, run
 from weiersem.polynomials import DEGREE_LIMIT
 
 from conftest import GOLDEN_BASIS_LINES
@@ -217,6 +217,17 @@ def test_reversed_m_range_exit_1(argv, basis_file, capsys):
     assert capsys.readouterr().err == \
         "error: bad range '5:1': A = 5 exceeds B = 1\n"
     assert _run(argv + ["--m-range", "6:6"])[0] == 0
+
+
+def test_semigroup_m_range_cap(capsys):
+    """A semigroup --m-range of RANGE_LIMIT values runs; one more value is
+    an input error."""
+    nu = ["semigroup", "nu", "--gens", "3,4", "--m-range"]
+    code, text = _run(nu + [f"7:{RANGE_LIMIT + 6}"])
+    assert code == 0 and text.count("\n") == RANGE_LIMIT
+    assert _run(nu + [f"7:{RANGE_LIMIT + 7}"]) == (1, "")
+    assert capsys.readouterr().err == \
+        f"error: --m-range holds more than {RANGE_LIMIT} values\n"
 
 
 def test_unknown_flag_exit_1():

@@ -189,11 +189,23 @@ def test_generators_outside_the_grammar(gens):
                                   "--ext", "\u0663", "--m", "5"],
     ["code", "syndrome"] + GOLDEN + ["--integral-basis", "golden",
                                      "--ext", "1_0", "--m", "3", "--y", "0"],
+    ["semigroup", "nu", "--gens", "3,4", "--m", "\u0663"],
+    ["semigroup", "nu", "--gens", "3,4", "--m", "1_0"],
+    ["semigroup", "nu", "--gens", "3,4", "--m", "+4"],
+    ["semigroup", "nu", "--gens", "3,4", "--m-range", "1_0:11"],
+    ["lbasis"] + GOLDEN + ["--integral-basis", "golden", "--m", "10000000"],
+    ["semigroup", "fengrao", "--gens", "3,4", "--m-range", "0:100000000"],
+    ["lbasis"] + GOLDEN + ["--integral-basis", "golden", "--m", "-3"],
+    ["lbasis"] + GOLDEN + ["--integral-basis", "golden", "--m", "1001"],
+    ["code", "bounds"] + GOLDEN + ["--integral-basis", "golden", "--ext", "3",
+                                   "--m-range", "0:1001"],
 ])
 def test_integer_flags_outside_the_grammar(flags, files):
-    """--pivot and --ext are ASCII digit runs under their caps (2^20, and
-    20 for the extension degree); anything else is an input error, answered
-    before any work."""
+    """--pivot, --ext, --m and both ends of --m-range are ASCII digit runs
+    under their caps (2^20 for --pivot, 20 for the extension degree,
+    cli.M_LIMIT for the m of `lbasis` and `code`), and a `semigroup`
+    --m-range holds at most cli.RANGE_LIMIT values; anything else is an
+    input error, answered before any work."""
     code, seconds, _ = _run([files.get(a, a) for a in flags])
     assert code == 1 and seconds < 1
 

@@ -328,6 +328,42 @@ def test_nullspace_against_bruteforce_kernel(p, k):
                                         for i in range(len(rows))]
 
 
+@pytest.mark.parametrize("field", [FiniteField(5), FiniteField(2, 8),
+                                   FiniteField(3, 2), FiniteField(257, 2)],
+                         ids=repr)
+def test_echelon_rows_reduced_and_nullspace_annihilates(field):
+    """Seeded 6 x 80 matrices with two dependent rows and zero tails: the
+    prefix ranks match the naive elimination, every basis row is reduced
+    (a column past its end read as 0), and every nullspace vector
+    annihilates every row."""
+    q = field.order
+    rng = random.Random(f"echelon:{field!r}")
+    for _ in range(3):
+        rows = []
+        for _ in range(4):
+            support = rng.choice([80, 60, 30])
+            rows.append([rng.randrange(q) for _ in range(support)]
+                        + [0] * (80 - support))
+        for _ in range(2):
+            (c1, r1), (c2, r2) = [(rng.randrange(q), rng.choice(rows))
+                                  for _ in range(2)]
+            rows.append([field.add(field.mul(c1, x), field.mul(c2, y))
+                         for x, y in zip(r1, r2)])
+        rng.shuffle(rows)
+        basis, ranks = _echelon(rows, field)
+        assert ranks == [_naive_rank(rows[:i + 1], field)
+                         for i in range(len(rows))]
+        for pc, row in basis:
+            assert row and row[-1] and len(row) <= 80
+            assert row[pc] == 1 and not any(row[:pc])
+            assert all(row[qc] == 0 for qc, _ in basis
+                       if qc != pc and qc < len(row))
+        null = _nullspace(rows, field)
+        assert len(null) == 80 - ranks[-1]
+        for vec in null:
+            assert all(_dot(field, row, vec) == 0 for row in rows)
+
+
 def _naive_value(P, x, y, ext, embed):
     """sum embed(c) * x^i * y^j over the terms of P, embedding every
     coefficient at every evaluation; the oracle for the lifted kernel."""

@@ -53,6 +53,21 @@ def test_order_limit():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 10 ** 40 + 1])
+def test_order_limit_before_primality(p):
+    """A characteristic above the limit is rejected before trial division,
+    which would not finish on it."""
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="exceeds the desk-scale limit"):
+        FiniteField(p)
+    assert time.perf_counter() - start < 1
+
+
+def test_composite_characteristic_rejected():
+    with pytest.raises(InputError, match="characteristic 4 is not prime"):
+        FiniteField(4)
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(InputError):
         FiniteField(2, 3, modulus=(1, 0, 0, 1))  # t^3 + 1 is reducible

@@ -383,18 +383,61 @@ def test_exact_div_raises_above_cutoff(p):
         (b * c + off).exact_div(b)
 
 
-@pytest.mark.parametrize("field", [FiniteField(5), FiniteField(3, 2)],
-                         ids=repr)
+# GF(257^2) is above LOG_TABLE_LIMIT, so it takes the schoolbook branch
+_LINEAR_FIELDS = [FiniteField(2), FiniteField(5), FiniteField(101),
+                  FiniteField(2, 4), FiniteField(3, 2), FiniteField(257, 2)]
+# both sides of _KRONECKER_CUTOFF for an operand times a constant
+_LINEAR_LENGTHS = [*range(8), 63, 64, 200]
+
+
+@pytest.mark.parametrize("field", _LINEAR_FIELDS, ids=repr)
 def test_unipoly_sub_against_coefficientwise(field):
+    """+, binary and unary - and scale agree with coefficient-wise field
+    operations."""
     rng = random.Random(f"sub:{field!r}")
-    for la, lb in [(0, 3), (3, 0), (4, 7), (7, 4), (5, 5)]:
+    for la in _LINEAR_LENGTHS:
         a = [rng.randrange(field.order) for _ in range(la)]
-        b = [rng.randrange(field.order) for _ in range(lb)]
-        n = max(la, lb)
-        a0, b0 = a + [0] * (n - la), b + [0] * (n - lb)
-        expected = UniPoly(field, [field.sub(x, y) for x, y in zip(a0, b0)])
-        assert UniPoly(field, a) - UniPoly(field, b) == expected
-        assert UniPoly(field, a) - UniPoly(field, a) == UniPoly.zero(field)
+        A = UniPoly(field, a)
+        for lb in _LINEAR_LENGTHS:
+            b = [rng.randrange(field.order) for _ in range(lb)]
+            B = UniPoly(field, b)
+            n = max(la, lb)
+            a0, b0 = a + [0] * (n - la), b + [0] * (n - lb)
+            assert A + B == UniPoly(field, [field.add(x, y)
+                                            for x, y in zip(a0, b0)])
+            assert A - B == UniPoly(field, [field.sub(x, y)
+                                            for x, y in zip(a0, b0)])
+        assert A - A == UniPoly.zero(field)
+        assert -A == UniPoly(field, [field.neg(x) for x in a])
+        for c in (0, 1, field.neg(1), rng.randrange(field.order)):
+            assert A.scale(c) == UniPoly(field, [field.mul(x, c) for x in a])
+
+
+@pytest.mark.parametrize("field", _LINEAR_FIELDS, ids=repr)
+def test_ser_inv_times_unit_is_one(field):
+    """_ser_inv(a, f, prec) * a = 1 mod X^prec, for units a longer and
+    shorter than prec."""
+    rng = random.Random(f"ser_inv:{field!r}")
+    for prec in (1, 2, 63, 64, 65, 300):
+        for la in (1, prec + 5):
+            a = [rng.randrange(1, field.order)] + \
+                [rng.randrange(field.order) for _ in range(la - 1)]
+            g = polynomials._ser_inv(a, field, prec)
+            assert len(g) <= prec
+            assert _list_mul(a, g, field, prec) == [1]
+
+
+@pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5),
+                                   FiniteField(2, 2)], ids=repr)
+def test_prem_by_monic_divisor_is_the_remainder(field):
+    rng = random.Random(f"prem:{field!r}")
+    for _ in range(30):
+        f = _random_bipoly(rng, field, 4, rng.randint(0, 7))
+        dy = rng.randint(1, 4)
+        low = _random_bipoly(rng, field, 3, dy - 1)
+        g = BiPoly.monomial(field, 0, dy) + low
+        assert polynomials._prem(f.y_coeffs(), g.y_coeffs(), field) == \
+            f.divmod_y(g)[1].y_coeffs()
 
 
 def _slot_width(la, lb, p):
