@@ -7,6 +7,7 @@ WEIERSTRASS_PRECISION_CEILING overrides the series precision ceiling.
 
 import argparse
 import csv
+import os
 import sys
 from bisect import bisect_right
 
@@ -17,7 +18,7 @@ from .curves import am_sequence, normalize_degree, one_branch_criterion, \
     semigroup_at_infinity
 from .errors import HypothesisError, InconsistencyError, InputError, \
     PreconditionError
-from .fields import ORDER_LIMIT, FiniteField
+from .fields import ORDER_LIMIT, FiniteField, write_sum
 from .parsing import parse_count, parse_element, parse_field, \
     parse_generators, parse_poly, parse_rational
 from .semigroups import NumericalSemigroup
@@ -26,11 +27,20 @@ from .weierstrass import l_basis, triangulate
 # Caps of the m flags, constants like fields.ORDER_LIMIT (measured on a
 # 2-vCPU Xeon): the m of `lbasis` and `code`, whose L(mP) basis takes about
 # m^2 work (at most 2.2 s at m = 1000, 7.3 s at 2000); the values in one
-# `semigroup` --m-range (2^16 took 1.3 s on <3,4>, 5.2 s on <32,33>); and
-# a `semigroup` m: generators are at most 2^20, so 2^41 > 2c - 2.
+# `semigroup` --m-range (2^16 took 1.3 s on <3,4>); and a `semigroup` m:
+# generators are at most 2^20, so 2^41 > 2c - 2.
 M_LIMIT = 1000
 RANGE_LIMIT = 1 << 16
 SEMIGROUP_M_LIMIT = 2 * ORDER_LIMIT ** 2
+
+# Caps of the work e*(values + e) of one `semigroup nu` and `fengrao`, e the
+# pivot: each nu and each Feng-Rao row is a pass over the e classes, and the
+# first rows fill the nu memo, about e^2.  Single runs on <n, n+1> (2-vCPU
+# Xeon, Python 3.11): nu took 76-202 ns per unit (1.9-2.6 s at 1.7e7-3.4e7);
+# one Feng-Rao m about 200 ns (3.5 s at e = 4096), a range from the
+# conductor 1.4-2.2 us (3.0 s at e = 1024 over 1024 values = 2^21).
+NU_WORK_LIMIT = 1 << 24
+FENGRAO_WORK_LIMIT = 1 << 21
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,8 +205,8 @@ def _cmd_curve_analyze(args, out):
     out.write(f"input: {model.original}\n")
     out.write(f"swap_xy: {'yes' if model.swapped else 'no'}\n")
     if model.shear:
-        lam = model.field.format_rep(model.shear)
-        out.write(f"shear: Y -> Y + {'X' if lam == '1' else lam + '*X'}\n")
+        lam = write_sum([((1,), field.format_coeff(model.shear))], ("X",))
+        out.write(f"shear: Y -> Y + {lam}\n")
     if model.subst_k is not None:
         out.write(f"substitution: X -> X + Y^{model.subst_k}\n")
     else:
@@ -280,6 +290,11 @@ def _cmd_semigroup(args, out):
         if b - a >= RANGE_LIMIT:
             raise InputError(f"--m-range holds more than {RANGE_LIMIT} values")
         m_values = range(a, b + 1)
+    limit = NU_WORK_LIMIT if sub == "nu" else FENGRAO_WORK_LIMIT
+    work = S.e * (len(m_values) + S.e)
+    if work > limit:
+        raise InputError(f"{sub}: e*(values+e) = {work} exceeds the limit "
+                         f"2^{limit.bit_length() - 1}")
     if sub == "nu":
         for m in m_values:
             if m in S:
@@ -467,7 +482,20 @@ def run(argv, out=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout cannot be written (a closed pipe, a full device): point fd 1
+        # at devnull so that the interpreter's exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

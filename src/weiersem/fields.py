@@ -9,6 +9,11 @@ addition are O(1) lookups: a*b = g^(log a + log b) and
 a + b = g^(log a + Z[log b - log a]).  Characteristic 2 adds by XOR, and
 prime fields use the native modulus operator, which is faster than any
 table.
+
+`write_sum` is the one writer of printed sums of products, the
+counterpart of the reader in `parsing`: field elements as t-polynomials
+(`format_rep`), `UniPoly` and `BiPoly` reprs.  It lives here, in the
+lowest module, so that `polynomials` can import it.
 """
 
 from .errors import InconsistencyError, InputError, PreconditionError
@@ -312,17 +317,48 @@ class FiniteField:
         if self.k == 1:
             return str(rep)
         coeffs = self.decode(rep)
-        terms = []
-        for e in range(self.k - 1, -1, -1):
-            c = coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                head = "t" if e == 1 else f"t^{e}"
-                terms.append(head if c == 1 else f"{c}*{head}")
-        return "+".join(terms) if terms else "0"
+        return write_sum([((e,), str(coeffs[e]))
+                          for e in range(self.k - 1, -1, -1) if coeffs[e]],
+                         ("t",))
+
+    def format_coeff(self, rep):
+        """format_rep as a coefficient of X and Y: bracketed outside GF(p)."""
+        text = self.format_rep(rep)
+        return f"[{text}]" if rep >= self.p else text
+
+
+def write_sum(terms, names):
+    """The one writer of the grammar's sums of products: (exponent tuple,
+    coefficient text) pairs, in the order given, as `c*v^e*...` joined by
+    `+`, where v runs over names.  A coefficient 1 is left out except in
+    the constant term, an exponent 1 is left out, and no terms write `0`."""
+    parts = []
+    for exps, coeff in terms:
+        factors = [coeff] if coeff != "1" or not any(exps) else []
+        factors += [v if e == 1 else f"{v}^{e}"
+                    for v, e in zip(names, exps) if e]
+        parts.append("*".join(factors))
+    return "+".join(parts) or "0"
+
+
+def _lift(name, reflected=False):
+    """The FieldElement operator of the field's rep operation `name`: an int
+    operand is mapped by Z -> GF(p^k), a foreign type is declined, and with
+    `reflected` the element is the right operand."""
+    rep_op = getattr(FiniteField, name)
+
+    def op(self, other):
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                raise ValueError("field mismatch in arithmetic")
+            r = other.rep
+        elif isinstance(other, int):
+            r = self.field.from_int(other)
+        else:
+            return NotImplemented
+        a, b = (r, self.rep) if reflected else (self.rep, r)
+        return FieldElement(self.field, rep_op(self.field, a, b))
+    return op
 
 
 class FieldElement:
@@ -338,54 +374,12 @@ class FieldElement:
     def coeffs(self):
         return self.field.decode(self.rep)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch in arithmetic")
-            return other.rep
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.rep, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.rep, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(r, self.rep))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.rep, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.rep, r))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(r, self.rep))
+    __add__ = __radd__ = _lift("add")
+    __sub__ = _lift("sub")
+    __rsub__ = _lift("sub", reflected=True)
+    __mul__ = __rmul__ = _lift("mul")
+    __truediv__ = _lift("div")
+    __rtruediv__ = _lift("div", reflected=True)
 
     def __pow__(self, e):
         return FieldElement(self.field, self.field.pow_rep(self.rep, e))

@@ -10,6 +10,9 @@ One regex tokenizer (`_tokens`) and one sum-of-products reader (`_sum`)
 scan every level.  Exponents and field parameters are compared with their
 cap by length before any ``int()`` (`_bounded`); coefficient literals of
 any length are reduced mod p in chunks (`_literal`).
+
+The counterpart writer is `fields.write_sum`: every element and
+polynomial it prints reads back here to the same value.
 """
 
 import re

@@ -16,6 +16,8 @@ operand, and GF(2^k) accumulates by XOR.
 value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
 the field has tables); a bivariate polynomial is first specialized at X
 (`BiPoly.specialize_x`).
+Every repr is one call to the one writer `fields.write_sum`, with
+coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
 subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X];
 the zero resultant is reported with the degree sentinel -inf, which the
@@ -28,7 +30,7 @@ import sys
 from array import array
 
 from .errors import InconsistencyError
-from .fields import FieldElement, power
+from .fields import FieldElement, power, write_sum
 
 NEG_INF = float("-inf")
 
@@ -296,23 +298,10 @@ class UniPoly:
         return hash((self.coeffs, self.field.p, self.field.k))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
         f = self.field
-        terms = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            cs = f.format_rep(c)
-            if f.k > 1 and c >= f.p:
-                cs = f"[{cs}]"
-            if e == 0:
-                terms.append(cs)
-            else:
-                head = self.var if e == 1 else f"{self.var}^{e}"
-                terms.append(head if cs == "1" else f"{cs}*{head}")
-        return "+".join(terms)
+        return write_sum([((e,), f.format_coeff(c))
+                          for e, c in reversed(list(enumerate(self.coeffs)))
+                          if c], (self.var,))
 
 
 class BiPoly:
@@ -533,25 +522,10 @@ class BiPoly:
         return hash((frozenset(self.terms.items()), self.field.p, self.field.k))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
         f = self.field
         keys = sorted(self.terms, key=lambda k: (-k[1], -k[0]))
-        parts = []
-        for i, j in keys:
-            c = self.terms[(i, j)]
-            cs = f.format_rep(c)
-            if f.k > 1 and c >= f.p:
-                cs = f"[{cs}]"
-            factors = []
-            if cs != "1" or (i == 0 and j == 0):
-                factors.append(cs)
-            if i:
-                factors.append("X" if i == 1 else f"X^{i}")
-            if j:
-                factors.append("Y" if j == 1 else f"Y^{j}")
-            parts.append("*".join(factors))
-        return "+".join(parts)
+        return write_sum([(k, f.format_coeff(self.terms[k])) for k in keys],
+                         ("X", "Y"))
 
 
 # -- Y-resultant via subresultant PRS over GF(q)[X] -----------------------

@@ -439,10 +439,6 @@ class TelescopicStructure:
             arr[i] = v
         return arr
 
-    def numerical(self):
-        return NumericalSemigroup.from_apery(self.generators[0], self.apery(),
-                                             gens=sorted(set(self.generators)))
-
 
 def _scaled_member(value, gens):
     """Membership in <gens> for a not necessarily coprime generator list."""

@@ -201,6 +201,15 @@ def test_precision_ceiling(monkeypatch, cusp_model):
         valuation(param, big)
 
 
+def test_precision_clamped_at_ceiling(monkeypatch, cusp_model):
+    """X^11 needs 37 terms; doubling from 16 would ask for 64, so the
+    refinement stops at the ceiling 40 instead."""
+    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "40")
+    param = parametrize(cusp_model, precision=16)
+    assert valuation(param, BiPoly.x(F5) ** 11).order == -22
+    assert param.precision == 40
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", "0x40"])
 def test_precision_ceiling_rejects_malformed(monkeypatch, cusp_model, value):
     monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", value)

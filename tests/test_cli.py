@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import subprocess
 import sys
@@ -53,6 +54,28 @@ def test_curve_analyze_not_one_branch_exit_2():
     assert "reason:" in text
 
 
+@pytest.mark.parametrize("field, curve, shear", [
+    ("GF(5)", "Y^2+2*X*Y+X^2+X", "4*X"),
+    ("GF(3^2)", "Y^2+[t+1]*X*Y+[2*t]*X^2+X", "[t+1]*X"),
+])
+def test_curve_analyze_sheared_model(field, curve, shear):
+    """The shear is printed in the polynomial grammar: a coefficient
+    outside GF(p) is bracketed."""
+    code, text = _run(["curve", "analyze", "--field", field, "--curve", curve])
+    assert code == 0
+    assert f"shear: Y -> Y + {shear}\n" in text
+    assert "model: Y^2+X\n" in text
+    assert "one_branch: yes\n" in text
+
+
+def test_curve_analyze_chain_failure_exit_2():
+    code, text = _run(["curve", "analyze", "--field", "GF(2)",
+                       "--curve", "Y^9+X^10*Y^6+X^11*Y^4+X^3"])
+    assert code == 2
+    assert ("reason: chain fails at i=1: delta_1*d_1 = 27 <= "
+            "delta_2*d_2 = 219\n") in text
+
+
 def test_semigroup_fengrao_row():
     code, text = _run(["semigroup", "fengrao", "--gens", "6,10,15",
                        "--m", "30"])
@@ -95,6 +118,35 @@ def test_semigroup_q0_limit():
     code, text = _run(["semigroup", "q0", "--gens", "1000,1001"])
     assert code == 1 and text == ""
     assert time.perf_counter() - start < 5
+
+
+def test_semigroup_symmetric():
+    assert _run(["semigroup", "symmetric", "--gens", "3,4"]) == \
+        (0, "symmetric: yes\nconductor: 6\ngenus: 3\n")
+
+
+def test_semigroup_fengrao_no_element_exit_2(capsys):
+    assert _run(["semigroup", "fengrao", "--gens", "3,4",
+                 "--m-range", "1:2"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: no requested m lies in the semigroup\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fengrao", "--gens", "4096,4097", "--m", "4096"],
+    ["fengrao", "--gens", "1024,1025", "--m-range", "1047552:1049599"],
+    ["fengrao", "--gens", "1024,1025", "--m-range", "1047552:1051647"],
+    ["nu", "--gens", "4096,4097", "--m-range", "16773120:16777215"],
+])
+def test_semigroup_work_cap_exit_1(argv, capsys):
+    """A nu or Feng-Rao request whose work e*(values+e) is above its cap is
+    an input error, answered before any nu."""
+    start = time.perf_counter()
+    assert _run(["semigroup"] + argv) == (1, "")
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: e*(values+e) = ")
+    assert err.count("\n") == 1
 
 
 def test_semigroup_pivot_flag():
@@ -257,6 +309,39 @@ def test_console_script_entry(basis_file):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "hypothesis (H)" in proc.stderr
+
+
+# a child whose stdout is block-buffered, as in a shell, so that the last
+# write fails in the flush at the end and not in the command
+_BUFFERED_ENV = {k: v for k, v in os.environ.items()
+                 if k != "PYTHONUNBUFFERED"}
+
+
+def test_closed_stdout_pipe_exit_1():
+    """The reader takes one line and closes the pipe; the writer ends with
+    one error line, not a traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weiersem", "semigroup", "fengrao",
+         "--gens", "3,4", "--m-range", "0:60000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED_ENV)
+    assert proc.stdout.readline().split()[0] == b"m"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exit_1():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weiersem", "semigroup", "stats",
+             "--gens", "3,4"], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=_BUFFERED_ENV, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_selftest_passes():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from weiersem import (BiPoly, HypothesisError, InputError,
+from weiersem import (AMSequence, BiPoly, HypothesisError, InputError,
                       PreconditionError, am_sequence, approximate_root,
                       normalize_degree, one_branch_criterion, parse_field,
                       parse_poly, semigroup_at_infinity)
@@ -216,6 +216,14 @@ def test_d_gate_failure():
     verdict = one_branch_criterion(seq)
     assert not verdict.one_branch
     assert "!= 1" in verdict.reason
+
+
+def test_membership_failure_reason():
+    seq = AMSequence(h=2, delta=(4, 6, 1), d=(4, 2, 1), nseq=(2, 2),
+                     roots=(), model=None)
+    verdict = one_branch_criterion(seq)
+    assert not verdict.one_branch
+    assert verdict.reason == "n_2*delta_2 = 2 not in <4,6>"
 
 
 def test_two_linear_branches_rejected():

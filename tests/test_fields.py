@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 
@@ -141,6 +142,38 @@ def test_format_rep():
     assert F8.format_rep(1) == "1"
     assert F8.format_rep(2) == "t"
     assert F8.format_rep(5) == "t^2+1"
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 3), (3, 2), (257, 2)])
+def test_element_operators_match_rep_operations(p, k):
+    """Each operator, and its form with the int on the left, is the field's
+    rep operation; GF(257^2) has no log tables."""
+    F = FiniteField(p, k)
+    rng = random.Random(p * k)
+    for _ in range(50):
+        a, b = rng.randrange(F.order), rng.randrange(1, F.order)
+        n = rng.randrange(-3 * p, 3 * p)
+        x, y, c = F.from_rep(a), F.from_rep(b), F.from_int(n)
+        assert (x + y).rep == (y + x).rep == F.add(a, b)
+        assert (x - y).rep == F.sub(a, b)
+        assert (x * y).rep == (y * x).rep == F.mul(a, b)
+        assert (x / y).rep == F.div(a, b)
+        assert (x + n).rep == (n + x).rep == F.add(a, c)
+        assert (x - n).rep == F.sub(a, c)
+        assert (n - x).rep == F.sub(c, a)
+        assert (x * n).rep == (n * x).rep == F.mul(a, c)
+        assert (n / y).rep == F.div(c, b)
+        if c:
+            assert (x / n).rep == F.div(a, c)
+        assert bool(x) == (a != 0)
+        assert repr(x) == F.format_rep(a)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(F.one(), "x")
+        with pytest.raises(TypeError):
+            op("x", F.one())
+        with pytest.raises(ValueError):
+            op(F.one(), FiniteField(5).one())
 
 
 def _mobius(n):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from weiersem import BiPoly, FiniteField, InputError, parse_field, parse_poly
+from weiersem import (BiPoly, FiniteField, InputError, UniPoly, parse_field,
+                      parse_poly)
 from weiersem.parsing import parse_element, parse_rational
 
 FIELDS = [FiniteField(2), FiniteField(7), FiniteField(101), FiniteField(2, 3),
@@ -21,6 +22,19 @@ def test_repr_roundtrip_random(field):
                  for _ in range(rng.randrange(1, 8))}
         P = BiPoly(field, terms)
         assert parse_poly(repr(P), field) == P
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_unipoly_repr_roundtrip(field):
+    rng = random.Random(field.order + 1)
+    for _ in range(100):
+        coeffs = [rng.randrange(field.order) for _ in range(rng.randrange(9))]
+        for var, key in (("X", lambda e: (e, 0)), ("Y", lambda e: (0, e))):
+            P = UniPoly(field, coeffs, var)
+            assert parse_poly(repr(P), field) == \
+                BiPoly(field, {key(e): c for e, c in enumerate(coeffs)})
+    assert repr(UniPoly.zero(field)) == "0"
+    assert parse_poly("0", field).is_zero()
 
 
 @pytest.mark.parametrize("field", [FiniteField(2), FiniteField(101),
