@@ -3,8 +3,10 @@
 The recordings in tests/data/cli_golden/*.out pin the full stdout of the
 README commands on the golden curve plus extension-field runs (among them
 the Newton expansion after blowups over GF(3^2) and the chart-y branch
-over GF(2^2)), so a refactor of the arithmetic kernels cannot change any
-printed digit.  Re-record (only when an output change is intended) with
+over GF(2^2)), and of the `semigroup` subcommands on symmetric and
+non-symmetric semigroups, so a refactor of the arithmetic kernels or of the
+semigroup layer cannot change any printed digit.  Re-record (only when an
+output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record [NAME ...]
 
@@ -60,6 +62,17 @@ CASES = {
                          "--curve", "Y^150+X^7"],
     "y200_gf5_analyze": ["curve", "analyze", "--field", "GF(5)",
                          "--curve", "Y^200+X^7"],
+    "semigroup_stats_8_10_12_13": ["semigroup", "stats",
+                                   "--gens", "8,10,12,13"],
+    "semigroup_stats_6_10_15_pivot_10": ["semigroup", "stats",
+                                         "--gens", "6,10,15", "--pivot", "10"],
+    "semigroup_fengrao_6_10_15": ["semigroup", "fengrao", "--gens", "6,10,15",
+                                  "--m-range", "0:60"],
+    "semigroup_fengrao_5_7_9_csv": ["semigroup", "fengrao", "--gens", "5,7,9",
+                                    "--m-range", "0:40", "--format", "csv"],
+    "semigroup_q0_8_10_12_13": ["semigroup", "q0", "--gens", "8,10,12,13"],
+    "semigroup_symmetric_5_7_9": ["semigroup", "symmetric",
+                                  "--gens", "5,7,9"],
 }
 
 
