@@ -7,6 +7,7 @@ WEIERSTRASS_PRECISION_CEILING overrides the series precision ceiling.
 
 import argparse
 import csv
+import math
 import os
 import sys
 from bisect import bisect_right
@@ -21,7 +22,7 @@ from .errors import HypothesisError, InconsistencyError, InputError, \
 from .fields import ORDER_LIMIT, FiniteField, write_sum
 from .parsing import parse_count, parse_element, parse_field, \
     parse_generators, parse_poly, parse_rational
-from .semigroups import NumericalSemigroup
+from .semigroups import NumericalSemigroup, format_gens
 from .weierstrass import l_basis, triangulate
 
 # Caps of the m flags, constants like fields.ORDER_LIMIT (measured on a
@@ -36,9 +37,10 @@ SEMIGROUP_M_LIMIT = 2 * ORDER_LIMIT ** 2
 # Caps of the work e*(values + e) of one `semigroup nu` and `fengrao`, e the
 # pivot: each nu and each Feng-Rao row is a pass over the e classes, and the
 # first rows fill the nu memo, about e^2.  Single runs on <n, n+1> (2-vCPU
-# Xeon, Python 3.11): nu took 76-202 ns per unit (1.9-2.6 s at 1.7e7-3.4e7);
-# one Feng-Rao m about 200 ns (3.5 s at e = 4096), a range from the
-# conductor 1.4-2.2 us (3.0 s at e = 1024 over 1024 values = 2^21).
+# Xeon, Python 3.11): nu took 76-202 ns per unit (1.9-2.6 s at 1.7e7-3.4e7).
+# Feng-Rao rows, timed on a machine about half as fast: one m about 400 ns
+# (6.9 s at e = 4096), a range from the conductor 0.9-1.3 us (1.9 s at
+# e = 1024 over 1024 values = 2^21).
 NU_WORK_LIMIT = 1 << 24
 FENGRAO_WORK_LIMIT = 1 << 21
 
@@ -158,10 +160,6 @@ def _semigroup_from_args(args):
     return NumericalSemigroup.from_generators(gens, pivot=args.pivot)
 
 
-def _gens_str(gens):
-    return "<" + ",".join(map(str, gens)) + ">"
-
-
 def _fengrao_rows(S, m_values):
     rows = []
     c = S.conductor
@@ -173,10 +171,11 @@ def _fengrao_rows(S, m_values):
         fast = symmetric and c <= m <= 2 * c - 2
         if fast and S.feng_rao_symmetric(m) != fr:
             raise InconsistencyError("symmetric fast path disagrees")
+        holds = fr == S.min_formula_rhs(m)
         rows.append({"m": m, "nu": S.nu(m), "delta_fr": fr,
                      "d_star": m + 1 - 2 * S.genus,
                      "sym_fast": "yes" if fast else "no",
-                     "min_formula": "yes" if S.min_formula_holds(m) else "no"})
+                     "min_formula": "yes" if holds else "no"})
     return rows
 
 
@@ -228,13 +227,13 @@ def _cmd_curve_analyze(args, out):
         raise PreconditionError(f"not one branch at infinity: "
                                 f"{verdict.reason}")
     out.write("one_branch: yes\n")
-    out.write(f"S_P: {_gens_str(seq.delta)}\n")
+    out.write(f"S_P: {format_gens(seq.delta)}\n")
     return 0
 
 
 def _cmd_weierstrass(args, out):
     field, model, seq, s_inf, param, report = _pipeline(args)
-    out.write(f"S_P: {_gens_str(seq.delta)}\n")
+    out.write(f"S_P: {format_gens(seq.delta)}\n")
     out.write(f"s: {report.s}\n")
     out.write(f"added_values: {','.join(map(str, report.added_values))}\n")
     out.write(f"gamma_gaps: {','.join(map(str, report.gamma.gaps()))}\n")
@@ -250,7 +249,7 @@ def _cmd_semigroup(args, out):
     S = _semigroup_from_args(args)
     sub = args.subcommand
     if sub == "stats":
-        out.write(f"generators: {_gens_str(S.gens)}\n")
+        out.write(f"generators: {format_gens(S.gens)}\n")
         out.write(f"pivot: {S.e}\n")
         out.write(f"apery: {','.join(map(str, S.apery))}\n")
         out.write(f"genus: {S.genus}\n")
@@ -421,11 +420,7 @@ def _cmd_selftest(args, out):
     def semigroup_oracles():
         for _ in range(5):
             gens = sorted(rng.sample(range(4, 20), 3))
-            import math
-            g = 0
-            for x in gens:
-                g = math.gcd(g, x)
-            if g != 1:
+            if math.gcd(*gens) != 1:
                 continue
             S = NumericalSemigroup.from_generators(gens)
             for m in S.elements(4 * S.genus + 2 * S.e):

@@ -229,13 +229,13 @@ def one_branch_criterion(seq):
             return CriterionVerdict(
                 False, f"chain fails at i={i}: delta_{i}*d_{i} = {lhs} "
                        f"<= delta_{i+1}*d_{i+1} = {rhs}")
-    from .semigroups import _scaled_member
+    from .semigroups import _scaled_member, format_gens
     for i in range(1, h + 1):
         target = seq.nseq[i - 1] * seq.delta[i]
         if not _scaled_member(target, seq.delta[:i]):
             return CriterionVerdict(
                 False, f"n_{i}*delta_{i} = {target} not in "
-                       f"<{','.join(map(str, seq.delta[:i]))}>")
+                       f"{format_gens(seq.delta[:i])}")
     return CriterionVerdict(True)
 
 

@@ -64,10 +64,7 @@ def random_semigroup_gens(rng, max_mult=12, max_genus=25):
         e0 = rng.randint(2, max_mult)
         gens = [e0] + [rng.randint(e0 + 1, e0 + 25)
                        for _ in range(rng.randint(1, 4))]
-        g = 0
-        for x in gens:
-            g = math.gcd(g, x)
-        if g != 1:
+        if math.gcd(*gens) != 1:
             continue
         from weiersem import NumericalSemigroup
         S = NumericalSemigroup.from_generators(gens)
@@ -88,9 +85,7 @@ def random_telescopic(rng):
         gens = [delta0]
         ok = True
         for i in range(1, h + 1):
-            g = 0
-            for x in gens:
-                g = math.gcd(g, x)
+            g = math.gcd(*gens)
             scaled = NumericalSemigroup.from_generators([x // g for x in gens])
             target = None
             for _ in range(40):

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from weiersem import NumericalSemigroup
 from weiersem.cli import RANGE_LIMIT, run
 from weiersem.polynomials import DEGREE_LIMIT
 
-from conftest import GOLDEN_BASIS_LINES
+from conftest import GOLDEN_BASIS_LINES, random_semigroup_gens
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,39 @@ def test_semigroup_fengrao_csv_range():
     assert lines[0] == "m,nu,delta_fr,d_star,sym_fast,min_formula"
     # gaps 17 and 19 are skipped
     assert [int(r.split(",")[0]) for r in lines[1:]] == [15, 16, 18, 20, 21]
+
+
+def test_semigroup_fengrao_csv_matches_oracles():
+    """Every row of a fengrao table over [0, 4g + 2e], with the smallest
+    generator or another element as pivot, against the brute-force pair
+    count and Feng-Rao scan, d* = m + 1 - 2g, the interval [c, 2c - 2] of a
+    symmetric semigroup, and the minimum formula."""
+    rng = random.Random(606)
+    for _ in range(8):
+        gens, G = random_semigroup_gens(rng)
+        pivot = rng.choice(G.elements(G.conductor + 2 * G.e)[1:])
+        for flags in ([], ["--pivot", str(pivot)]):
+            S = NumericalSemigroup.from_generators(
+                gens, pivot=pivot if flags else None)
+            top = 4 * S.genus + 2 * S.e
+            code, text = _run(["semigroup", "fengrao",
+                               "--gens", ",".join(map(str, gens)),
+                               "--m-range", f"0:{top}", "--format", "csv"]
+                              + flags)
+            assert code == 0
+            lines = text.splitlines()
+            assert lines[0] == "m,nu,delta_fr,d_star,sym_fast,min_formula"
+            c = S.conductor
+            expected = []
+            for m in S.elements(top):
+                fr = S.feng_rao_bruteforce(m)
+                fast = S.is_symmetric() and c <= m <= 2 * c - 2
+                holds = fr == S.min_formula_rhs(m)
+                expected.append(f"{m},{S.nu_bruteforce(m)},{fr},"
+                                f"{m + 1 - 2 * S.genus},"
+                                f"{'yes' if fast else 'no'},"
+                                f"{'yes' if holds else 'no'}")
+            assert lines[1:] == expected, (gens, flags)
 
 
 def test_semigroup_stats_and_q0():

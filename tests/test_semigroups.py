@@ -231,12 +231,27 @@ def test_symmetry_examples():
 
 
 def test_symmetry_complement_characterization():
+    """The invariants fixed at construction, with the smallest generator or
+    another element as pivot, against their definitions from the gaps
+    found by a membership scan:
+    genus the gap count, conductor the last gap + 1, a_N = max(apery) in
+    the class of the last gap, and symmetry x in S <=> c - 1 - x not in S."""
     rng = random.Random(123)
     for _ in range(15):
-        gens, S = random_semigroup_gens(rng)
-        c = S.conductor
-        mirror = all((r in S) != (c - 1 - r in S) for r in range(-2, c + 2))
-        assert mirror == S.is_symmetric()
+        gens, G = random_semigroup_gens(rng)
+        pivot = rng.choice(G.elements(G.conductor + 2 * G.e)[1:])
+        for S in (G, NumericalSemigroup.from_generators(gens, pivot=pivot)):
+            # every x >= max(apery) is in S, so this scan finds every gap
+            gaps = [x for x in range(max(S.apery)) if x not in S]
+            assert S.gaps() == gaps, (gens, S.e)
+            c = gaps[-1] + 1 if gaps else 0
+            assert S.genus == len(gaps), (gens, S.e)
+            assert S.conductor == c and S.last_gap == c - 1, (gens, S.e)
+            assert S.max_index == (c - 1) % S.e, (gens, S.e)
+            assert S.max_apery == S.apery[S.max_index] == max(S.apery)
+            mirror = all((r in S) != (c - 1 - r in S)
+                         for r in range(-2, c + 2))
+            assert mirror == S.is_symmetric(), (gens, S.e)
 
 
 # -- delta_gap and q0 ---------------------------------------------------------------
@@ -288,9 +303,9 @@ def test_min_formula_interval():
         res = S.q0_m0()
         for m in S.elements(4 * S.genus + 4):
             if m > res.m0:
-                assert S.min_formula_holds(m), (gens, m)
+                assert S.feng_rao(m) == S.min_formula_rhs(m), (gens, m)
         if res.m0 in S and not res.sentinel:
-            assert not S.min_formula_holds(res.m0), gens
+            assert S.feng_rao(res.m0) != S.min_formula_rhs(res.m0), gens
 
 
 # -- telescopic ----------------------------------------------------------------------
@@ -380,7 +395,7 @@ def test_min_formula_characterization_on_interval():
             n = m - c + 1
             q = 2 * c - 2 - m
             if n in S:
-                assert S.min_formula_holds(m), (gens, m)
+                assert S.feng_rao(m) == S.min_formula_rhs(m), (gens, m)
                 continue
             n_next = n + 1
             while n_next not in S:
@@ -388,13 +403,14 @@ def test_min_formula_characterization_on_interval():
             q_prime = q - (n_next - n)
             condition = all(S.nu(qb) >= S.delta_gap(qb)
                             for qb in range(q_prime + 3, q + 1))
-            assert S.min_formula_holds(m) == condition, (gens, m)
+            holds = S.feng_rao(m) == S.min_formula_rhs(m)
+            assert holds == condition, (gens, m)
             # the easy sufficient cases from the corollary
             delta = n_next - n
             if delta in (1, 2):
-                assert S.min_formula_holds(m), (gens, m)
+                assert holds, (gens, m)
             if delta == 3 and not S.is_irreducible_element(q):
-                assert S.min_formula_holds(m), (gens, m)
+                assert holds, (gens, m)
 
 
 def test_telescopic_q0_footnote_bound_empirically():
@@ -420,7 +436,7 @@ def test_telescopic_q0_footnote_bound_empirically():
         lo = max(S.conductor, 4 * g - 1 - bound)
         for m in range(lo, 4 * g - 1):
             if m in S:
-                assert S.min_formula_holds(m), (gens, m)
+                assert S.feng_rao(m) == S.min_formula_rhs(m), (gens, m)
         if not res.sentinel:
             assert res.q0 >= bound, gens
         elif res.q0 < bound:
