@@ -167,9 +167,7 @@ def build_code(table, points, m, improved=False):
     ext = points.field
     embed = table.oracle.field.embedding_into(ext)
     if improved:
-        tel = table.telescopic
-        funcs = [table.function_for(r) for r in gamma.elements(m)
-                 if tel.contains(r)]
+        funcs = [table.function_for(r) for r in table.at_infinity.elements(m)]
     else:
         funcs = l_basis(table, m)
     matrix = tuple(tuple(_values(fn, enumerate(points.points), ext, embed))

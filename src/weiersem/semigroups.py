@@ -289,11 +289,16 @@ class NumericalSemigroup:
         return Q0Result(q0=q0, m0=4 * self.genus - 2 - q0, sentinel=sentinel)
 
     def is_irreducible_element(self, q):
-        """q != 0 and q is not a sum of two nonzero elements."""
+        """q != 0 and q is not a sum of two nonzero elements: q - e in S
+        splits q != e; else q is e or least in its class, and splits only
+        as a_i + a_j with nonzero classes i + j = q mod e."""
+        e, ap = self.e, self.apery
         if q not in self or q == 0:
             return False
-        return all((q - s) not in self
-                   for s in self.elements(q - 1) if 0 < s)
+        if q != e and q - e in self:
+            return False
+        return not any(ap[i] + ap[(q - i) % e] == q
+                       for i in range(1, e) if (q - i) % e)
 
     # -- adjunction ---------------------------------------------------------
 
@@ -399,13 +404,6 @@ class TelescopicStructure:
             raise PreconditionError(f"{m} is not an element of the semigroup")
         lam[0] = rest // gens[0]
         return tuple(lam)
-
-    def contains(self, m):
-        try:
-            self.repr_of(m)
-            return True
-        except PreconditionError:
-            return False
 
     def apery(self):
         """Apery array w.r.t. delta_0: sums with lambda_0 = 0, one per

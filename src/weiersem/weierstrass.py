@@ -5,8 +5,11 @@ table of known functions (leading-coefficient-matched subtraction, exact
 coefficients from the branch oracle) until its pole order escapes the
 current value set; the escape updates one residue-class slot of the Apery
 array, covering every gap of that class above the new value at once.
-The final table yields a function of pole order r for every r in the
-Weierstrass semigroup, hence bases of the spaces L(mP).
+Per class i mod e the table keeps the AM product h_i of S_P's Apery element
+and the slot function, whose values form the current Apery array.  A value r
+of class i in the Weierstrass semigroup gets h_i * h_e^l when r is in S_P
+and slot_i * h_e^l otherwise, l matching the pole order; hence bases of the
+spaces L(mP).
 """
 
 import operator
@@ -50,19 +53,18 @@ class ValuedFunction:
     den: BiPoly
     value: int          # -v(f) at the infinite place
     lc: int             # leading coefficient (field rep)
-    provenance: str     # 'am-product' | 'reduction' | 'table-product'
 
     def __mul__(self, other):
         f = self.num.field
         num, den = _strip_common_content(self.num * other.num,
                                          self.den * other.den)
         return ValuedFunction(num, den, self.value + other.value,
-                              f.mul(self.lc, other.lc), "table-product")
+                              f.mul(self.lc, other.lc))
 
     def pow(self, e):
         f = self.num.field
         return power(self, e, operator.mul, ValuedFunction(
-            BiPoly.one(f), BiPoly.one(f), 0, 1, "table-product"))
+            BiPoly.one(f), BiPoly.one(f), 0, 1))
 
     def __repr__(self):
         if self.den == BiPoly.one(self.num.field):
@@ -71,14 +73,12 @@ class ValuedFunction:
 
 
 class FunctionTable:
-    """Apery-indexed function storage: one function per residue class of
-    the current value set, plus the pivot function h_e (Apery composites
-    f_m = h_i * h_e^l realize every tracked value)."""
+    """Apery-indexed function storage: per residue class mod e = delta_0,
+    the AM power product of S_P's Apery element and the current slot
+    function, plus the pivot function h_e and S_P (`at_infinity`)."""
 
     def __init__(self, s_infinity, am_functions, oracle):
-        self.s_p = s_infinity
         self.oracle = oracle
-        self.telescopic = s_infinity.telescopic()
         field = oracle.field
         delta = s_infinity.generators
         self.e = delta[0]
@@ -90,64 +90,59 @@ class FunctionTable:
                     f"generator function has pole order {-val.order}, "
                     f"expected {value}")
             roots.append(ValuedFunction(fn, BiPoly.one(field), value,
-                                        val.leading.rep, "am-product"))
-        self._roots = roots
+                                        val.leading.rep))
         self.h_e = roots[0]            # -v(X) = delta_0 = pivot
-        tel_apery = self.telescopic.apery()
-        self.apery = list(tel_apery)
-        self.slots = [None] * self.e
-        for i, a in enumerate(tel_apery):
-            lam = self.telescopic.repr_of(a)
-            self.slots[i] = self._am_product(lam)
-
-    def _am_product(self, lam):
-        out = None
-        for fn, l in zip(self._roots, lam):
-            if l == 0:
-                continue
-            part = fn.pow(l)
-            out = part if out is None else out * part
-        if out is None:
-            field = self.oracle.field
-            return ValuedFunction(BiPoly.one(field), BiPoly.one(field), 0, 1,
-                                  "am-product")
-        return out
+        tel = s_infinity.telescopic()
+        tel_apery = tel.apery()
+        self.at_infinity = NumericalSemigroup(self.e, tel_apery,
+                                              sorted(delta))
+        self._am = []
+        for a in tel_apery:
+            fn = ValuedFunction(BiPoly.one(field), BiPoly.one(field), 0, 1)
+            # lambda_0 = 0 on an Apery element: no power of h_e
+            for root, l in zip(roots[1:], tel.repr_of(a)[1:]):
+                if l:
+                    fn = fn * root.pow(l)
+            self._am.append(fn)
+        self.slots = list(self._am)
 
     # -- current value set ------------------------------------------------
 
     def contains(self, value):
-        return value >= 0 and value >= self.apery[value % self.e]
+        return value >= 0 and value >= self.slots[value % self.e].value
 
     def update_slot(self, value, fn):
         """Record the escape function: lowers the Apery slot of its class.
         Returns the list of newly covered values, ascending."""
         i = value % self.e
-        old = self.apery[i]
+        old = self.slots[i].value
         if value >= old:
             raise InconsistencyError(
                 f"slot update with a value {value} already covered")
-        covered = list(range(value, old, self.e))
-        self.apery[i] = value
         self.slots[i] = fn
-        return covered
+        return list(range(value, old, self.e))
 
     def numerical(self):
-        return NumericalSemigroup.from_apery(self.e, self.apery)
+        return NumericalSemigroup.from_apery(
+            self.e, [fn.value for fn in self.slots])
+
+    def denominators(self):
+        """The distinct non-constant denominators of the slot functions."""
+        return list(dict.fromkeys(fn.den for fn in self.slots
+                                  if fn.den.total_degree > 0))
 
     # -- function lookup ---------------------------------------------------
 
     def function_for(self, r):
-        """A function with pole order exactly r at infinity: the AM power
-        product when r lies in the semigroup at infinity, the Apery
-        composite h_i * h_e^l otherwise."""
-        if r < 0 or not self.contains(r):
+        """A function with pole order exactly r at infinity: h_i * h_e^l
+        with h_i the AM product of class i when r lies in S_P, the slot
+        function of class i otherwise."""
+        if not self.contains(r):
             raise PreconditionError(f"{r} is not a tracked pole order")
-        if self.telescopic.contains(r):
-            fn = self._am_product(self.telescopic.repr_of(r))
-        else:
-            i = r % self.e
-            l = (r - self.apery[i]) // self.e
-            fn = self.slots[i] * self.h_e.pow(l) if l else self.slots[i]
+        i = r % self.e
+        base = self._am[i] if r in self.at_infinity else self.slots[i]
+        l = (r - base.value) // self.e
+        fn = base * self.h_e.pow(l) if l else base
         if fn.value != r:
             raise InconsistencyError("composed function has wrong value")
         val = self.oracle.valuation(fn.num, fn.den)
@@ -183,7 +178,7 @@ def reduce_step(g, table):
     val = table.oracle.valuation(num, den)
     if -val.order >= g.value:
         raise InconsistencyError("reduction did not decrease the pole order")
-    return ValuedFunction(num, den, -val.order, val.leading.rep, "reduction")
+    return ValuedFunction(num, den, -val.order, val.leading.rep)
 
 
 def triangulate(s_infinity, am_functions, integral_basis, oracle):
@@ -195,7 +190,7 @@ def triangulate(s_infinity, am_functions, integral_basis, oracle):
     """
     table = FunctionTable(s_infinity, am_functions, oracle)
     s = len(integral_basis)
-    genus_start = table.numerical().genus
+    genus_start = table.at_infinity.genus
     added = []
     reduced = []
     for idx, (num, den) in enumerate(integral_basis, start=1):
@@ -209,7 +204,7 @@ def triangulate(s_infinity, am_functions, integral_basis, oracle):
             raise InconsistencyError(
                 f"integral basis element {idx} is not a function on the "
                 f"curve: {exc}")
-        g = ValuedFunction(num, den, -val.order, val.leading.rep, "reduction")
+        g = ValuedFunction(num, den, -val.order, val.leading.rep)
         steps = 0
         bound = g.value + 2
         while g.value > 0 and table.contains(g.value):
@@ -256,5 +251,4 @@ def l_basis(table, m):
     """One function per pole order r in Gamma with 0 <= r <= m."""
     if m < 0:
         raise PreconditionError("m must be nonnegative")
-    gamma = table.numerical()
-    return [table.function_for(r) for r in gamma.elements(m)]
+    return [table.function_for(r) for r in range(m + 1) if table.contains(r)]

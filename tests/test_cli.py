@@ -9,7 +9,7 @@ import time
 import pytest
 
 from weiersem import NumericalSemigroup
-from weiersem.cli import RANGE_LIMIT, run
+from weiersem.cli import RANGE_LIMIT, SCAN_LIMIT, run
 from weiersem.polynomials import DEGREE_LIMIT
 
 from conftest import GOLDEN_BASIS_LINES, random_semigroup_gens
@@ -231,13 +231,8 @@ def test_code_build_matches_library(basis_file, golden_report):
     assert code == 0
     gf8 = FiniteField(2, 3)
     table = golden_report.table
-    dens = []
-    seen = set()
-    for fn in list(table.slots) + [table.h_e]:
-        if fn.den.total_degree and fn.den not in seen:
-            seen.add(fn.den)
-            dens.append(fn.den)
-    pts = enumerate_points(golden_report.table.oracle.model, gf8, avoid=dens)
+    pts = enumerate_points(table.oracle.model, gf8,
+                           avoid=table.denominators())
     spec = build_code(table, pts, 5)
     assert f"n: {spec.n}" in text
     assert f"k: {spec.k}" in text
@@ -274,6 +269,33 @@ def test_code_syndrome_extension_entries(basis_file):
     assert code == 0
     assert "s_0:" in text and "s_3:" in text
     assert "in_code: no" in text
+
+
+HERMITIAN_GF4_BOUNDS = [
+    "code", "bounds", "--field", "GF(2^2)", "--curve", "Y^2+Y+X^3",
+    "--integral-basis", os.path.join(os.path.dirname(__file__), "data",
+                                     "cli_golden", "empty_basis.txt"),
+    "--m-range", "0:40"]
+
+
+@pytest.mark.parametrize("ext", ["6", "10"])
+def test_code_scan_limit_exit_1(ext, capsys):
+    """A point scan q^2*(deg_Y+1) above SCAN_LIMIT is an input error,
+    answered before the point field is built: over GF(2^12) the scan of
+    the normalized deg_Y 9 model would take about 18 s."""
+    start = time.perf_counter()
+    assert _run(HERMITIAN_GF4_BOUNDS + ["--ext", ext]) == (1, "")
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: code: point scan q^2*(deg_Y+1) = ")
+    assert err.count("\n") == 1
+    assert f"limit 2^{SCAN_LIMIT.bit_length() - 1}" in err
+
+
+def test_code_scan_limit_admits_ext4():
+    code, text = _run(HERMITIAN_GF4_BOUNDS + ["--ext", "4"])
+    assert code == 0
+    assert text.splitlines()[0] == "m,k,d_star,delta_fr,t_corr"
 
 
 @pytest.mark.parametrize("field,curve", [

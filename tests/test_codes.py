@@ -21,14 +21,8 @@ def gf8():
 
 @pytest.fixture(scope="module")
 def golden_points(golden_model, golden_report, gf8):
-    dens = []
-    seen = set()
-    table = golden_report.table
-    for fn in list(table.slots) + [table.h_e]:
-        if fn.den.total_degree and fn.den not in seen:
-            seen.add(fn.den)
-            dens.append(fn.den)
-    return enumerate_points(golden_model, gf8, avoid=dens)
+    return enumerate_points(golden_model, gf8,
+                            avoid=golden_report.table.denominators())
 
 
 def test_point_enumeration(golden_model, golden_points, gf8):

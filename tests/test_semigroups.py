@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_from_apery_minimal_generators():
         P = NumericalSemigroup.from_generators(gens, pivot=pivot)
         assert list(NumericalSemigroup.from_apery(P.e, P.apery).gens) == \
             expected, (gens, pivot)
+        # the Apery rule against its definition by a membership scan
+        for T in (G, P):
+            for q in range(T.max_apery + T.e + 1):
+                scan = (q in T and q > 0
+                        and all(q - s not in T for s in range(1, q) if s in T))
+                assert T.is_irreducible_element(q) == scan, (gens, T.e, q)
+
+
+def test_from_apery_large_pivot_is_fast():
+    S = NumericalSemigroup.from_generators([512, 513])
+    t0 = time.perf_counter()
+    R = NumericalSemigroup.from_apery(S.e, S.apery)
+    assert time.perf_counter() - t0 < 1.0
+    assert R.gens == (512, 513)
 
 
 # -- Apery relations and nu -----------------------------------------------------
@@ -357,7 +372,8 @@ def test_telescopic_membership_and_roundtrip_random():
                 for k in range(1, len(gens)):
                     assert 0 <= lam[k] < T.nseq[k - 1]
             else:
-                assert not T.contains(m)
+                with pytest.raises(PreconditionError):
+                    T.repr_of(m)
 
 
 def test_apery_product_formula_discrepancy():

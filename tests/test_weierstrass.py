@@ -35,12 +35,12 @@ def test_h4_reduces_13_10_4(golden_seq, golden_param, golden_basis,
     table = FunctionTable(s_inf, golden_seq.roots, golden_param)
     for num, den in golden_basis[:3]:
         val = valuation(golden_param, num, den)
-        fn = ValuedFunction(num, den, -val.order, val.leading.rep, "reduction")
+        fn = ValuedFunction(num, den, -val.order, val.leading.rep)
         assert not table.contains(fn.value)   # each escapes immediately
         table.update_slot(fn.value, fn)
     num, den = golden_basis[3]
     val = valuation(golden_param, num, den)
-    g = ValuedFunction(num, den, -val.order, val.leading.rep, "reduction")
+    g = ValuedFunction(num, den, -val.order, val.leading.rep)
     assert g.value == 13
     g = reduce_step(g, table)
     assert g.value == 10
@@ -86,7 +86,7 @@ def test_table_revalidates_under_oracle(golden_report, golden_param):
     table = golden_report.table
     for i in range(table.e):
         for l in (0, 1, 2):
-            r = table.apery[i] + l * table.e
+            r = table.slots[i].value + l * table.e
             fn = table.function_for(r)   # function_for checks the oracle
             assert fn.value == r
 
@@ -209,3 +209,46 @@ def test_multi_gap_escape_and_early_stop():
     # every value now has a verified function
     for r in range(0, 14):
         assert rep.table.function_for(r).value == r
+
+
+def _report_for(field, curve):
+    from weiersem import (am_sequence, normalize_degree, parametrize,
+                          parse_field)
+    F = parse_field(field)
+    model = normalize_degree(parse_poly(curve, F))
+    seq = am_sequence(model)
+    return seq, triangulate(semigroup_at_infinity(seq), seq.roots, [],
+                            parametrize(model))
+
+
+@pytest.mark.parametrize("case", ["golden", "herm-gf4", "herm-gf16"])
+def test_function_for_rule_matches_definition(case, golden_seq,
+                                              golden_report):
+    """For r in S_P, function_for(r) is the AM power product
+    prod F_k^lambda_k with lambda = repr_of(r), built here from the roots
+    directly; l_basis is function_for over the elements of Gamma."""
+    if case == "golden":
+        seq, report = golden_seq, golden_report
+    elif case == "herm-gf4":
+        seq, report = _report_for("GF(2^2)", "Y^2+Y+X^3")
+    else:
+        seq, report = _report_for("GF(2^4)", "Y^4+Y+X^5")
+    table = report.table
+    field = table.oracle.field
+    tel = report.s_p.telescopic()
+    S_P = report.s_p.numerical()
+    lcs = [valuation(table.oracle, F).leading.rep for F in seq.roots]
+    bound = 4 * S_P.genus + 2 * table.e
+    for r in S_P.elements(bound):
+        lam = tel.repr_of(r)
+        num = BiPoly.one(field)
+        lc = 1
+        for F, c, l in zip(seq.roots, lcs, lam):
+            num = num * F ** l
+            lc = field.mul(lc, field.pow_rep(c, l))
+        fn = table.function_for(r)
+        assert (fn.num, fn.den, fn.lc, fn.value) == \
+            (num, BiPoly.one(field), lc, r), (case, r)
+    for m in (0, report.gamma.conductor, bound):
+        assert l_basis(table, m) == \
+            [table.function_for(r) for r in report.gamma.elements(m)]
