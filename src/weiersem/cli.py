@@ -401,7 +401,9 @@ def _cmd_selftest(args, out):
             out.write(f"FAIL {name}: {exc}\n")
 
     def field_axioms():
-        for field in (FiniteField(2, 3), FiniteField(7), FiniteField(3, 2)):
+        # every kind: tables (p = 2, odd p), prime, no tables (odd p, p = 2)
+        for field in (FiniteField(2, 3), FiniteField(7), FiniteField(3, 2),
+                      FiniteField(257, 2), FiniteField(2, 17)):
             for _ in range(200):
                 a, b, c = (field.from_rep(rng.randrange(field.order))
                            for _ in range(3))

@@ -8,13 +8,17 @@ carry exp/log tables and, for odd p, a Zech table Z[n] = log(1 + g^n)
 addition are O(1) lookups: a*b = g^(log a + log b) and
 a + b = g^(log a + Z[log b - log a]).  Characteristic 2 adds by XOR, and
 prime fields use the native modulus operator, which is faster than any
-table.
+table.  The choice is made once per field, here: `FiniteField.__init__`
+binds the field's add, sub, neg, mul, inv and pow_rep, so no call tests
+the kind of field and no other module makes the choice again.
 
 `write_sum` is the one writer of printed sums of products, the
 counterpart of the reader in `parsing`: field elements as t-polynomials
 (`format_rep`), `UniPoly` and `BiPoly` reprs.  It lives here, in the
 lowest module, so that `polynomials` can import it.
 """
+
+import operator
 
 from .errors import InconsistencyError, InputError, PreconditionError
 
@@ -109,19 +113,23 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p ** k
-        if k == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
-        elif modulus is None:
-            self.modulus = default_modulus(p, k)  # irreducible by its search
-        else:
-            self.modulus = tuple(modulus)
-            if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
-                raise InputError("modulus must be monic of degree k")
-            if not _is_irreducible(self.modulus, p):
+        if modulus is not None:
+            modulus = tuple(modulus)
+            if (len(modulus) != k + 1 or modulus[-1] != 1
+                    or not all(0 <= c < p for c in modulus)):
+                raise InputError("modulus must be monic of degree k, "
+                                 "with coefficients in 0..p-1")
+            if k > 1 and not _is_irreducible(modulus, p):
                 raise InputError("modulus is not irreducible")
+        if k == 1:
+            # the rep is the residue: a linear modulus never enters arithmetic
+            self.modulus = (0, 1)
+        else:  # default_modulus is irreducible by its search
+            self.modulus = modulus or default_modulus(p, k)
         self._log = self._exp = self._zech = None
         if k > 1 and self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
+        self._bind_arithmetic()
 
     # -- table construction -------------------------------------------
 
@@ -157,7 +165,8 @@ class FiniteField:
         q, p = self.order, self.p
         primes = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
         g = next(g for g in range(2, q)
-                 if all(self.pow_rep(g, (q - 1) // l) != 1 for l in primes))
+                 if all(power(g, (q - 1) // l, self._raw_mul, 1) != 1
+                        for l in primes))
         exp = [0] * (q - 1)
         log = [0] * q
         x = 1
@@ -175,6 +184,58 @@ class FiniteField:
 
     # -- integer-rep arithmetic ----------------------------------------
 
+    def _bind_arithmetic(self):
+        """Bind add, sub, neg, mul, inv and pow_rep for the field's kind:
+        prime, characteristic 2, odd p with Zech tables, or no tables.
+        Equality, hashing and FieldElement never read these attributes."""
+        p, q, log, exp, zech = self.p, self.order, self._log, self._exp, self._zech
+        if self.k == 1:
+            add = lambda a, b: (a + b) % p
+            sub = lambda a, b: (a - b) % p
+            neg = lambda a: -a % p
+            mul = lambda a, b: a * b % p
+            pow_nat = lambda a, e: pow(a, e, p)
+        else:
+            if p == 2:
+                add = sub = operator.xor
+                neg = lambda a: a
+            elif zech is not None:
+                half = (q - 1) // 2
+
+                def add(a, b):
+                    if not a:
+                        return b
+                    if not b:
+                        return a
+                    la = log[a]
+                    z = zech[log[b] - la]
+                    return 0 if z is None else exp[la + z]
+                neg = lambda a: exp[log[a] + half] if a else 0
+                sub = lambda a, b: add(a, neg(b))
+            else:
+                enc, dec = self.encode, self.decode
+                add = lambda a, b: enc(x + y for x, y in zip(dec(a), dec(b)))
+                sub = lambda a, b: enc(x - y for x, y in zip(dec(a), dec(b)))
+                neg = lambda a: enc(-x for x in dec(a))
+            if log is None:
+                mul = self._raw_mul
+                pow_nat = lambda a, e: power(a, e, mul, 1)
+            else:
+                mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+                pow_nat = (lambda a, e: exp[log[a] * e % (q - 1)] if a
+                            else int(not e))
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return pow_nat(a, q - 2)
+
+        def pow_rep(a, e):
+            return pow_nat(a, e) if e >= 0 else pow_nat(inv(a), -e)
+
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.inv, self.pow_rep = inv, pow_rep
+
     def encode(self, coeffs):
         v = 0
         for c in reversed(list(coeffs)):
@@ -188,70 +249,8 @@ class FiniteField:
             rep //= self.p
         return tuple(coeffs)
 
-    def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._zech is not None:
-            if not a:
-                return b
-            if not b:
-                return a
-            la = self._log[a]
-            z = self._zech[self._log[b] - la]
-            return 0 if z is None else self._exp[la + z]
-        return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
-
-    def sub(self, a, b):
-        if self.k == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._zech is not None:
-            return self.add(a, self.neg(b))
-        return self.encode(x - y for x, y in zip(self.decode(a), self.decode(b)))
-
-    def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        if self._zech is not None:
-            return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
-        return self.encode(-x for x in self.decode(a))
-
-    def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        if self._log is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._log is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self.pow_rep(a, self.order - 2)
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow_rep(self, a, e):
-        if e < 0:
-            return self.pow_rep(self.inv(a), -e)
-        if self.k == 1:
-            return pow(a, e, self.p)
-        if a == 0:
-            return 0 if e else 1
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return power(a, e, self._raw_mul, 1)
 
     def from_int(self, c):
         """Image of an integer under the unital ring map Z -> GF(p^k)."""
@@ -277,12 +276,6 @@ class FiniteField:
     def one(self):
         return FieldElement(self, 1)
 
-    def gen(self):
-        """The polynomial-basis generator t (equals p as a rep)."""
-        if self.k == 1:
-            raise PreconditionError("prime field has no basis generator t")
-        return FieldElement(self, self.p)
-
     def embedding_into(self, other):
         """Return a rep -> rep field embedding GF(p^k) -> GF(p^(k*e)).
 
@@ -306,6 +299,10 @@ class FiniteField:
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
+
+    def __reduce__(self):
+        # pickled by its arguments: the bound operations are closures
+        return FiniteField, (self.p, self.k, self.modulus)
 
     def __repr__(self):
         if self.k == 1:
@@ -342,11 +339,10 @@ def write_sum(terms, names):
 
 
 def _lift(name, reflected=False):
-    """The FieldElement operator of the field's rep operation `name`: an int
-    operand is mapped by Z -> GF(p^k), a foreign type is declined, and with
-    `reflected` the element is the right operand."""
-    rep_op = getattr(FiniteField, name)
-
+    """The FieldElement operator of the rep operation `name`, looked up on
+    the element's own field, where it is bound: an int operand is mapped by
+    Z -> GF(p^k), a foreign type is declined, and with `reflected` the
+    element is the right operand."""
     def op(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
@@ -357,7 +353,7 @@ def _lift(name, reflected=False):
         else:
             return NotImplemented
         a, b = (r, self.rep) if reflected else (self.rep, r)
-        return FieldElement(self.field, rep_op(self.field, a, b))
+        return FieldElement(self.field, getattr(self.field, name)(a, b))
     return op
 
 

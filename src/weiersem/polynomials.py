@@ -10,7 +10,8 @@ inverse `_ser_inv` and its step; UniPoly division over GF(p) above
 sums in `codes`); over GF(p) it packs long operands and c into big
 integers (`_kronecker_mul`), and over GF(p^k) with log tables it
 multiplies over the logs of the nonzero coefficients, taken once per
-operand, and GF(2^k) accumulates by XOR.
+operand.  Kernels call the field's bound `add` and `mul`, whose kind of
+arithmetic is chosen once per field, in `fields`, never here.
 `BiPoly.substitute_binomial` is the one linear change of variables
 (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
 value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
@@ -105,9 +106,8 @@ def _list_mul(a, b, field, trunc=None, c=()):
         out = list(c[:n])
     elif log is not None:
         # GF(p^k) with tables: logs of the nonzero coefficients taken once,
-        # each product one exp lookup; characteristic 2 adds by XOR
-        exp = field._exp
-        add = operator.xor if field.p == 2 else field.add
+        # each product one exp lookup
+        exp, add = field._exp, field.add
         la = [(i, log[x]) for i, x in enumerate(a[:n]) if x]
         lb = [(j, log[y]) for j, y in enumerate(b[:n]) if y]
         out = [0] * n
@@ -279,15 +279,15 @@ class UniPoly:
         each step acc*x is one exp lookup at log(acc) + log(x)."""
         f = self.field
         acc = 0
-        log = f._log
+        log, add = f._log, f.add
         if log is not None and x:
             exp, lx = f._exp, log[x]
-            add = operator.xor if f.p == 2 else f.add
             for c in reversed(self.coeffs):
                 acc = add(exp[log[acc] + lx], c) if acc else c
             return acc
+        mul = f.mul
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     def __eq__(self, other):

@@ -2,6 +2,7 @@
 ladder gives the powers of every type that uses it."""
 
 import operator
+import pickle
 
 import pytest
 
@@ -53,3 +54,21 @@ def test_power_matches_repeated_products(field):
         pu, pb = pu * u, pb * b
     for rep in range(1, field.order):
         assert power(rep, field.order - 1, field._raw_mul, 1) == 1
+
+
+@pytest.mark.parametrize("field", [FiniteField(5), FiniteField(2, 3),
+                                   FiniteField(3, 2), FiniteField(257, 2)],
+                         ids=repr)
+def test_field_pickles_with_its_arithmetic(field):
+    """A field, its elements and polynomials survive pickling: the copy is
+    an equal field that binds the same arithmetic again."""
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field and hash(copy) == hash(field)
+    a, b = 2, field.order - 1
+    assert copy.mul(a, b) == field.mul(a, b)
+    assert copy.add(a, b) == field.add(a, b)
+    assert copy.inv(b) == field.inv(b)
+    u = UniPoly(field, [1, 2, field.order - 1])
+    assert pickle.loads(pickle.dumps(u)) == u
+    x = field.from_rep(a)
+    assert pickle.loads(pickle.dumps(x)) * x == x * x

@@ -1,10 +1,13 @@
-"""The log-domain kernel of GF(p^k) against digit-wise arithmetic.
+"""Field arithmetic and the log-domain kernel against digit-wise arithmetic.
 
-Fields with log tables add through the Zech table (odd p), multiply
-coefficient lists by exp lookups over hoisted logs (`_list_mul`) and
-evaluate by Horner over logs (`UniPoly.eval_rep`).  The oracle here
-works on the base-p digits of the reps and reduces products by the
-modulus itself, so it shares no table with the code under test.
+Every kind of field (prime, characteristic 2 with tables, odd p with Zech
+tables, and no tables above LOG_TABLE_LIMIT) binds its own add, sub, neg,
+mul, inv and pow_rep when it is built.  Fields with log tables add through
+the Zech table (odd p), multiply coefficient lists by exp lookups over
+hoisted logs (`_list_mul`) and evaluate by Horner over logs
+(`UniPoly.eval_rep`).  The oracle here works on the base-p digits of the
+reps and reduces products by the modulus itself, so it shares no table
+and no bound operation with the code under test.
 """
 
 import random
@@ -12,6 +15,7 @@ import random
 import pytest
 
 from weiersem import FiniteField, UniPoly
+from weiersem.fields import LOG_TABLE_LIMIT
 from weiersem.polynomials import _list_mul
 
 
@@ -56,6 +60,67 @@ def _mul(F, a, b):
         for i in range(k + 1):
             prod[d - k + i] -= top * mod[i]
     return _encode(prod[:k], p)
+
+
+def _pow(F, a, e):
+    """a^e for e >= 0 by repeated squaring over the oracle's product."""
+    out = 1
+    while e:
+        if e & 1:
+            out = _mul(F, out, a)
+        a, e = _mul(F, a, a), e >> 1
+    return out
+
+
+# one field of each kind, and a second prime and char-2 size
+EVERY_KIND = [(7, 1), (101, 1), (2, 4), (3, 4), (257, 2), (2, 17)]
+
+
+@pytest.mark.parametrize("p,k", EVERY_KIND)
+def test_bound_operations_match_digit_oracle(p, k):
+    """add, sub, neg, mul, inv and pow_rep of every kind of field, on seeded
+    pairs; above LOG_TABLE_LIMIT the single elements are sampled too."""
+    F = FiniteField(p, k)
+    q = F.order
+    assert (F._log is None) == (k == 1 or q > LOG_TABLE_LIMIT)
+    rng = random.Random(f"kinds:{p}^{k}")
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    pairs += [(0, 0), (0, 1), (1, 0), (q - 1, q - 1)]
+    pairs += [(a, _neg(F, a)) for a, _ in pairs[:50]]
+    for a, b in pairs:
+        assert F.add(a, b) == _add(F, a, b), (F, a, b)
+        assert F.sub(a, b) == _sub(F, a, b), (F, a, b)
+        assert F.mul(a, b) == _mul(F, a, b), (F, a, b)
+    singles = (range(q) if q <= LOG_TABLE_LIMIT else
+               [0, 1, p, q - 1] + [rng.randrange(q) for _ in range(100)])
+    for a in singles:
+        assert F.neg(a) == _neg(F, a), (F, a)
+        e = rng.choice([0, 1, 2, q - 2, q - 1, q, rng.randrange(3 * q)])
+        assert F.pow_rep(a, e) == _pow(F, a, e), (F, a, e)
+        if a:
+            assert _mul(F, F.inv(a), a) == 1, (F, a)
+            assert _mul(F, F.pow_rep(a, -e), _pow(F, a, e)) == 1, (F, a, e)
+            assert F.pow_rep(a, -1) == F.inv(a)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.pow_rep(0, -1)
+
+
+def test_elements_of_equal_fields_combine():
+    """Two separately built GF(3^2) are one field: their elements combine,
+    each operator running the left operand's field's bound operation."""
+    F, G = FiniteField(3, 2), FiniteField(3, 2)
+    assert F is not G and F == G and hash(F) == hash(G)
+    for a in range(F.order):
+        for b in range(G.order):
+            x, y = F.from_rep(a), G.from_rep(b)
+            assert (x + y).rep == (y + x).rep == _add(F, a, b)
+            assert (x - y).rep == _sub(F, a, b)
+            assert (x * y).rep == (y * x).rep == _mul(F, a, b)
+            if b:
+                assert _mul(F, (x / y).rep, b) == a
+    assert {F.one(), G.one()} == {F.one()}
 
 
 def _check_add_sub_neg(F, pairs):
@@ -145,3 +210,35 @@ def test_eval_rep_log_branch(p, k):
             for c in reversed(coeffs):
                 want = _add(F, _mul(F, want, x), c)
             assert poly.eval_rep(x) == want, (F, coeffs, x)
+
+
+@pytest.mark.parametrize("p,k", [(257, 2), (2, 17)])
+def test_kernels_without_tables(p, k):
+    """_list_mul and eval_rep over fields with no log tables, where they run
+    on the field's bound add and mul, against the same oracle."""
+    F = FiniteField(p, k)
+    assert F._log is None
+    rng = random.Random(f"no-tables:{p}^{k}")
+    for la in range(1, 13):
+        a = _operand(rng, F.order, la)
+        b = _operand(rng, F.order, rng.randrange(1, 13))
+        full = _product(F, a, b)
+        n = len(a) + len(b) - 1
+        c = _operand(rng, F.order, rng.randrange(0, n + 2))
+        for trunc in (None, 1, rng.randrange(1, n + 1)):
+            want = full if trunc is None else full[:trunc]
+            while want and want[-1] == 0:
+                want = want[:-1]
+            assert _list_mul(a, b, F, trunc) == want, (F, a, b, trunc)
+        want = [_add(F, x, y) for x, y in
+                zip(full + [0] * len(c), c + [0] * len(full))]
+        while want and want[-1] == 0:
+            want.pop()
+        assert _list_mul(a, b, F, None, c) == want, (F, a, b, c)
+        poly = UniPoly(F, a)
+        for x in [0, 1, F.order - 1] + [rng.randrange(F.order)
+                                         for _ in range(5)]:
+            value = 0
+            for coeff in reversed(a):
+                value = _add(F, _mul(F, value, x), coeff)
+            assert poly.eval_rep(x) == value, (F, a, x)
