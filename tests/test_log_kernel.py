@@ -72,11 +72,9 @@ def _pow(F, a, e):
     return out
 
 
-# one field of each kind, and a second prime and char-2 size
-EVERY_KIND = [(7, 1), (101, 1), (2, 4), (3, 4), (257, 2), (2, 17)]
-
-
-@pytest.mark.parametrize("p,k", EVERY_KIND)
+# prime, characteristic 2 and odd p with tables, and both without tables
+@pytest.mark.parametrize("p,k", [(7, 1), (101, 1), (2, 4), (3, 4), (257, 2),
+                                 (2, 17)])
 def test_bound_operations_match_digit_oracle(p, k):
     """add, sub, neg, mul, inv and pow_rep of every kind of field, on seeded
     pairs; above LOG_TABLE_LIMIT the single elements are sampled too."""
@@ -224,7 +222,7 @@ def test_kernels_without_tables(p, k):
         b = _operand(rng, F.order, rng.randrange(1, 13))
         full = _product(F, a, b)
         n = len(a) + len(b) - 1
-        c = _operand(rng, F.order, rng.randrange(0, n + 2))
+        c = _operand(rng, F.order, rng.randrange(1, n + 2))
         for trunc in (None, 1, rng.randrange(1, n + 1)):
             want = full if trunc is None else full[:trunc]
             while want and want[-1] == 0:
