@@ -6,9 +6,8 @@ from .branch import (BranchParam, Valuation, parametrize, valuation,
 from .codes import (CodeSpec, EvaluationSet, bidim_syndrome, build_code,
                     distance_bound_table, enumerate_points, in_code,
                     known_syndromes, min_distance_exact)
-from .curves import (AMSequence, CriterionVerdict, PlaneModel,
-                     SemigroupAtInfinity, am_sequence, analyze,
-                     approximate_root, normalize_degree,
+from .curves import (AMSequence, CriterionVerdict, PlaneModel, am_sequence,
+                     analyze, approximate_root, normalize_degree,
                      one_branch_criterion, semigroup_at_infinity)
 from .errors import (HypothesisError, InconsistencyError, InputError,
                      PreconditionError, WeiersemError)
@@ -26,7 +25,7 @@ __all__ = [
     "EvaluationSet", "FieldElement", "FiniteField", "FunctionTable",
     "HypothesisError", "InconsistencyError", "InputError", "NEG_INF",
     "NumericalSemigroup", "PlaneModel", "PreconditionError", "Q0Result",
-    "SemigroupAtInfinity", "TelescopicStructure", "TriangulationReport",
+    "TelescopicStructure", "TriangulationReport",
     "UniPoly", "Valuation", "ValuedFunction", "WeiersemError",
     "am_sequence", "analyze", "approximate_root", "bidim_syndrome",
     "build_code", "default_modulus", "distance_bound_table",

@@ -4,7 +4,9 @@ The entry point is normalize_degree, which brings an affine curve equation
 into the monic-in-Y position required by the approximate-root machinery
 (applying X -> X + Y^k when the characteristic divides deg_Y), then
 am_sequence runs the approximate-root iteration and one_branch_criterion
-decides whether the curve has a single rational branch at infinity.
+decides whether the curve has a single rational branch at infinity.  When
+it has, semigroup_at_infinity returns S_P, generated by the pole orders
+delta_0..delta_h of the approximate roots, as a TelescopicStructure.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisError, InputError, InconsistencyError, PreconditionError
 from .polynomials import DEGREE_LIMIT, NEG_INF, BiPoly, resultant_y
+from .semigroups import TelescopicStructure
 
 
 @dataclass(frozen=True)
@@ -173,38 +176,38 @@ def am_sequence(model):
     if m % fld.p == 0:
         raise PreconditionError("model not normalized: characteristic "
                                 "divides deg_Y")
+    # delta_i and F_i are kept only when they lower the gcd d_i; the
+    # iteration stops at d_(h+1) = 1 or when the gcd stops falling
     deltas = [m]
     roots = [BiPoly.x(fld)]
     d_list = [m]
-    cur_root = BiPoly.y(fld)
-    cur_delta = resultant_y(F, cur_root).degree
-    if cur_delta is NEG_INF:
-        raise PreconditionError("Y divides the curve equation")
-    deltas.append(cur_delta)
-    roots.append(cur_root)
+    root = BiPoly.y(fld)
     while True:
         prev_d = d_list[-1]
-        prev_delta = deltas[-1]
-        d_i = prev_d if prev_delta is NEG_INF else math.gcd(prev_d, prev_delta)
+        delta = resultant_y(F, root).degree
+        d_i = prev_d if delta is NEG_INF else math.gcd(prev_d, delta)
         if d_i == prev_d:
             break
+        deltas.append(delta)
+        roots.append(root)
         d_list.append(d_i)
-        F_i = approximate_root(F, d_i)
-        deltas.append(resultant_y(F, F_i).degree)
-        roots.append(F_i)
+        if d_i == 1:
+            break
         if len(d_list) > m + 2:
             raise InconsistencyError("approximate-root iteration failed to "
                                      "terminate")
+        root = approximate_root(F, d_i)
     h = len(d_list) - 1
     nseq = tuple(d_list[i] // d_list[i + 1] for i in range(h))
-    return AMSequence(h=h, delta=tuple(deltas[:h + 1]), d=tuple(d_list),
-                      nseq=nseq, roots=tuple(roots[:h + 1]), model=model)
+    return AMSequence(h=h, delta=tuple(deltas), d=tuple(d_list),
+                      nseq=nseq, roots=tuple(roots), model=model)
 
 
 @dataclass(frozen=True)
 class CriterionVerdict:
     one_branch: bool
     reason: str | None = None
+    s_p: TelescopicStructure | None = None   # S_P when one_branch
 
     def __bool__(self):
         return self.one_branch
@@ -215,13 +218,12 @@ def one_branch_criterion(seq):
 
     Checks, in order: d_{h+1} = 1; the strict chain
     delta_1 d_1 > ... > delta_h d_h; and n_i delta_i in
-    <delta_0, ..., delta_{i-1}>.  For h <= 1 only the first gate applies.
+    <delta_0, ..., delta_{i-1}>, which building the TelescopicStructure
+    of S_P decides.  The chain is empty for h <= 1.
     """
     h = seq.h
     if seq.d[-1] != 1:
         return CriterionVerdict(False, f"d_{h + 1} = {seq.d[-1]} != 1")
-    if h <= 1:
-        return CriterionVerdict(True)
     for i in range(1, h):
         lhs = seq.delta[i] * seq.d[i - 1]
         rhs = seq.delta[i + 1] * seq.d[i]
@@ -229,53 +231,21 @@ def one_branch_criterion(seq):
             return CriterionVerdict(
                 False, f"chain fails at i={i}: delta_{i}*d_{i} = {lhs} "
                        f"<= delta_{i+1}*d_{i+1} = {rhs}")
-    from .semigroups import _scaled_member, format_gens
-    for i in range(1, h + 1):
-        target = seq.nseq[i - 1] * seq.delta[i]
-        if not _scaled_member(target, seq.delta[:i]):
-            return CriterionVerdict(
-                False, f"n_{i}*delta_{i} = {target} not in "
-                       f"{format_gens(seq.delta[:i])}")
-    return CriterionVerdict(True)
-
-
-@dataclass(frozen=True)
-class SemigroupAtInfinity:
-    """Pole orders at infinity of polynomial functions, with witnesses."""
-
-    generators: tuple   # (delta_0, ..., delta_h)
-    d: tuple
-    nseq: tuple
-    functions: tuple    # (F_0, ..., F_h), -v(F_i) = delta_i
-    model: PlaneModel
-
-    def numerical(self, pivot=None):
-        from .semigroups import NumericalSemigroup
-        return NumericalSemigroup.from_generators(list(self.generators),
-                                                  pivot=pivot)
-
-    def telescopic(self):
-        from .semigroups import TelescopicStructure
-        return TelescopicStructure(list(self.generators))
+    try:
+        s_p = TelescopicStructure(seq.delta)
+    except PreconditionError as exc:
+        return CriterionVerdict(False, str(exc))
+    return CriterionVerdict(True, s_p=s_p)
 
 
 def semigroup_at_infinity(seq):
-    """Package the AM output, re-asserting the three structure properties."""
+    """S_P as the TelescopicStructure on delta_0..delta_h; raises when the
+    one-branch criterion fails."""
     verdict = one_branch_criterion(seq)
     if not verdict:
         raise PreconditionError(
             f"not a single branch at infinity: {verdict.reason}")
-    h = seq.h
-    if seq.d[-1] != 1:
-        raise InconsistencyError("d_{h+1} != 1 after criterion passed")
-    for i in range(2, h + 1):
-        if seq.nseq[i - 1] <= 1:
-            raise InconsistencyError(f"n_{i} = {seq.nseq[i-1]} is not > 1")
-    for i in range(1, h):
-        if not seq.nseq[i - 1] * seq.delta[i] > seq.delta[i + 1]:
-            raise InconsistencyError(f"n_{i}*delta_{i} <= delta_{i+1}")
-    return SemigroupAtInfinity(generators=seq.delta, d=seq.d, nseq=seq.nseq,
-                               functions=seq.roots, model=seq.model)
+    return verdict.s_p
 
 
 def analyze(F):

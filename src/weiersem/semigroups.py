@@ -152,14 +152,7 @@ class NumericalSemigroup:
         i = m % self.e
         return i, (m - self.apery[i]) // self.e
 
-    # -- Apery relations and nu -------------------------------------------
-
-    def apery_relation(self, i, j):
-        """alpha_(i,j) >= 0 with a_i + a_j = a_(i+j) + alpha*e."""
-        e = self.e
-        i %= e
-        j %= e
-        return (self.apery[i] + self.apery[j] - self.apery[(i + j) % e]) // e
+    # -- nu ---------------------------------------------------------------
 
     def nu(self, m):
         """Number of ordered pairs (a, b) in S^2 with a + b = m, via the
@@ -302,9 +295,6 @@ class NumericalSemigroup:
 
     # -- adjunction ---------------------------------------------------------
 
-    def adjoin(self, b):
-        return self.adjoin_with_trace(b)[0]
-
     def adjoin_with_trace(self, b):
         """Apery update for S + b*N.
 
@@ -351,15 +341,12 @@ class Q0Result:
     m0: int
     sentinel: bool
 
-    def __iter__(self):
-        return iter((self.q0, self.m0))
-
 
 class TelescopicStructure:
     """Ordered generators delta_0..delta_h with the gcd tower
     d_i = gcd(delta_0..delta_(i-1)), d_(h+1) = 1, and
     n_i delta_i in <delta_0..delta_(i-1)>; every element then has a unique
-    bounded representation."""
+    bounded representation.  The semigroup at infinity S_P is one."""
 
     def __init__(self, generators):
         gens = [int(g) for g in generators]
@@ -375,35 +362,45 @@ class TelescopicStructure:
             raise PreconditionError("gcd of generators is not 1")
         self.nseq = tuple(self.d[i] // self.d[i + 1] for i in range(h))
         self.h = h
+        # the prefix up to delta_(i-1) has passed, so it is telescopic and
+        # its bounded representation decides membership
         for i in range(1, h + 1):
             target = self.nseq[i - 1] * gens[i]
-            if not _scaled_member(target, gens[:i]):
+            if self._bounded_repr(target, i - 1) is None:
                 raise PreconditionError(
-                    f"not telescopic: n_{i}*delta_{i} = {target} is not in "
+                    f"n_{i}*delta_{i} = {target} not in "
                     f"{format_gens(gens[:i])}")
 
-    def repr_of(self, m):
-        """The unique (lambda_0, ..., lambda_h) with 0 <= lambda_k < n_k for
-        k >= 1; raises when m is not an element."""
-        gens, d, nseq, h = self.generators, self.d, self.nseq, self.h
-        lam = [0] * (h + 1)
+    def _bounded_repr(self, m, top):
+        """(lambda_0, ..., lambda_top) with m = sum lambda_k delta_k and
+        0 <= lambda_k < n_k for k >= 1, or None when lambda_0 < 0 (m is then
+        not in a telescopic <delta_0..delta_top>); d_(top+1) must divide m.
+        lambda_k is the one residue mod n_k that leaves the rest divisible
+        by d_k."""
+        gens, d, nseq = self.generators, self.d, self.nseq
+        lam = [0] * (top + 1)
         rest = m
-        for k in range(h, 0, -1):
+        for k in range(top, 0, -1):
             dk1 = d[k]           # d_(k+1)
             nk = nseq[k - 1]
             if rest % dk1:
                 raise InconsistencyError("representation drift")
-            lam_k = 0
-            if nk > 1:
-                lam_k = (rest // dk1 * pow(gens[k] // dk1, -1, nk)) % nk
-            lam[k] = lam_k
-            rest -= lam_k * gens[k]
+            lam[k] = (rest // dk1 * pow(gens[k] // dk1, -1, nk)) % nk
+            rest -= lam[k] * gens[k]
         if rest % gens[0]:
             raise InconsistencyError("representation drift at lambda_0")
         if rest < 0:
-            raise PreconditionError(f"{m} is not an element of the semigroup")
+            return None
         lam[0] = rest // gens[0]
         return tuple(lam)
+
+    def repr_of(self, m):
+        """The unique (lambda_0, ..., lambda_h) with 0 <= lambda_k < n_k for
+        k >= 1; raises when m is not an element."""
+        lam = self._bounded_repr(m, self.h)
+        if lam is None:
+            raise PreconditionError(f"{m} is not an element of the semigroup")
+        return lam
 
     def apery(self):
         """Apery array w.r.t. delta_0: sums with lambda_0 = 0, one per
@@ -424,11 +421,10 @@ class TelescopicStructure:
             arr[i] = v
         return arr
 
+    def numerical(self):
+        """The NumericalSemigroup with pivot delta_0, from apery() in O(e)."""
+        return NumericalSemigroup(self.generators[0], self.apery(),
+                                  sorted(set(self.generators)))
 
-def _scaled_member(value, gens):
-    """Membership in <gens> for a not necessarily coprime generator list."""
-    g = math.gcd(*gens)
-    if value % g:
-        return False
-    scaled = [x // g for x in gens]
-    return (value // g) in NumericalSemigroup.from_generators(scaled)
+    def __repr__(self):
+        return format_gens(self.generators)

@@ -19,7 +19,7 @@ from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import power
 from .polynomials import BiPoly, UniPoly
-from .semigroups import NumericalSemigroup
+from .semigroups import NumericalSemigroup, TelescopicStructure
 
 
 def _x_content(P):
@@ -92,15 +92,12 @@ class FunctionTable:
             roots.append(ValuedFunction(fn, BiPoly.one(field), value,
                                         val.leading.rep))
         self.h_e = roots[0]            # -v(X) = delta_0 = pivot
-        tel = s_infinity.telescopic()
-        tel_apery = tel.apery()
-        self.at_infinity = NumericalSemigroup(self.e, tel_apery,
-                                              sorted(delta))
+        self.at_infinity = s_infinity.numerical()
         self._am = []
-        for a in tel_apery:
+        for a in self.at_infinity.apery:
             fn = ValuedFunction(BiPoly.one(field), BiPoly.one(field), 0, 1)
             # lambda_0 = 0 on an Apery element: no power of h_e
-            for root, l in zip(roots[1:], tel.repr_of(a)[1:]):
+            for root, l in zip(roots[1:], s_infinity.repr_of(a)[1:]):
                 if l:
                     fn = fn * root.pow(l)
             self._am.append(fn)
@@ -154,7 +151,7 @@ class FunctionTable:
 
 @dataclass(frozen=True)
 class TriangulationReport:
-    s_p: object                 # SemigroupAtInfinity
+    s_p: TelescopicStructure    # the semigroup at infinity
     s: int                      # integral-basis size = #(Gamma \ S_P)
     added_values: tuple         # discovery order, covered values included
     gamma: NumericalSemigroup   # the Weierstrass semigroup

@@ -72,9 +72,21 @@ def random_semigroup_gens(rng, max_mult=12, max_genus=25):
             return gens, S
 
 
+def scaled_member(value, gens):
+    """Membership in <gens> for a not necessarily coprime generator list,
+    by the Dijkstra Apery array of the scaled generators: the oracle for
+    the telescopic check."""
+    from weiersem import NumericalSemigroup
+    g = math.gcd(*gens)
+    if value % g:
+        return False
+    scaled = [x // g for x in gens]
+    return (value // g) in NumericalSemigroup.from_generators(scaled)
+
+
 def random_telescopic(rng):
-    """Random telescopic generator sequence (delta_0, ..., delta_h)."""
-    from weiersem import NumericalSemigroup, TelescopicStructure
+    """Random telescopic generator sequence (delta_0, ..., delta_h), built
+    and checked with the Dijkstra oracle only."""
     while True:
         h = rng.randint(1, 3)
         ns = [rng.choice([2, 2, 3]) for _ in range(h)]
@@ -85,25 +97,17 @@ def random_telescopic(rng):
         gens = [delta0]
         ok = True
         for i in range(1, h + 1):
-            g = math.gcd(*gens)
-            scaled = NumericalSemigroup.from_generators([x // g for x in gens])
             target = None
             for _ in range(40):
                 cand = d[i] * rng.randint(2, 12)
                 if math.gcd(cand, d[i - 1]) != d[i]:
                     continue
-                if (ns[i - 1] * cand) % g == 0 and \
-                        (ns[i - 1] * cand // g) in scaled:
+                if scaled_member(ns[i - 1] * cand, gens):
                     target = cand
                     break
             if target is None:
                 ok = False
                 break
             gens.append(target)
-        if not ok:
-            continue
-        try:
-            TelescopicStructure(gens)
-        except Exception:
-            continue
-        return gens
+        if ok:
+            return gens

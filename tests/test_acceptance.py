@@ -151,7 +151,7 @@ def test_criterion_5_telescopic_suite():
     for _ in range(50):
         gens, S = random_semigroup_gens(rng2)
         b = rng2.randint(1, S.conductor + S.e + 4)
-        A = S.adjoin(b)
+        A = S.adjoin_with_trace(b)[0]
         R = NumericalSemigroup.from_generators(list(gens) + [b], pivot=S.e)
         assert A.apery == R.apery, (gens, b)
     _report(5, "20 telescopic semigroups and 50 adjunctions, zero violations")

@@ -4,10 +4,14 @@ import random
 import pytest
 
 from weiersem import (AMSequence, BiPoly, HypothesisError, InputError,
-                      PreconditionError, am_sequence, approximate_root,
+                      NumericalSemigroup, PreconditionError,
+                      TelescopicStructure, am_sequence, approximate_root,
                       normalize_degree, one_branch_criterion, parse_field,
                       parse_poly, semigroup_at_infinity)
 from weiersem.polynomials import DEGREE_LIMIT
+from weiersem.semigroups import format_gens
+
+from conftest import random_semigroup_gens, random_telescopic, scaled_member
 
 
 # -- normalize_degree --------------------------------------------------------
@@ -267,7 +271,6 @@ def test_semigroup_rejected_without_criterion():
 def test_am_properties_on_one_branch_curves():
     """Output semigroups satisfy (I) d_{h+1} = 1, n_i > 1; (II) membership;
     (III) the chain; checked on substituted one-branch curves with h = 2."""
-    from weiersem.semigroups import _scaled_member
     F7 = parse_field("GF(7)")
     found = 0
     for base in ("Y^2+X^3", "Y^2+X^5", "Y^3+X^4", "Y^3+X^5", "Y^2+X^3+X"):
@@ -282,8 +285,8 @@ def test_am_properties_on_one_branch_curves():
             for i in range(2, seq.h + 1):
                 assert s_inf.nseq[i - 1] > 1
             for i in range(1, seq.h + 1):
-                assert _scaled_member(s_inf.nseq[i - 1] * s_inf.generators[i],
-                                      s_inf.generators[:i])
+                assert scaled_member(s_inf.nseq[i - 1] * s_inf.generators[i],
+                                     s_inf.generators[:i])
             for i in range(1, seq.h):
                 assert s_inf.nseq[i - 1] * s_inf.generators[i] > \
                     s_inf.generators[i + 1]
@@ -292,3 +295,51 @@ def test_am_properties_on_one_branch_curves():
             base_s = semigroup_at_infinity(base_seq).numerical()
             assert sorted(s_inf.numerical().gaps()) == sorted(base_s.gaps())
     assert found >= 8
+
+
+def test_telescopic_check_matches_dijkstra_oracle(golden_seq):
+    """TelescopicStructure accepts exactly the generator lists whose every
+    n_i*delta_i lies in <delta_0..delta_(i-1)> by the Dijkstra oracle, and
+    names the first i that fails; checked on every prefix of seeded
+    telescopic lists, their reorderings and arbitrary lists.  S_P built
+    from its telescopic Apery array has the gaps of <delta_0..delta_h>."""
+    rng = random.Random(1818)
+    lists = [random_telescopic(rng) for _ in range(30)]
+    lists += [rng.sample(gens, len(gens)) for gens in lists]
+    lists += [random_semigroup_gens(rng)[0] for _ in range(30)]
+    accepted = rejected = 0
+    for gens in lists:
+        for size in range(1, len(gens) + 1):
+            prefix = gens[:size]
+            try:
+                TelescopicStructure(prefix)
+                verdict = None
+            except PreconditionError as exc:
+                verdict = str(exc)
+            if math.gcd(*prefix) != 1:
+                assert verdict == "gcd of generators is not 1", prefix
+                continue
+            expected = None
+            d = prefix[0]
+            for i in range(1, size):
+                d_next = math.gcd(d, prefix[i])
+                target = d // d_next * prefix[i]
+                if not scaled_member(target, prefix[:i]):
+                    expected = (f"n_{i}*delta_{i} = {target} not in "
+                                f"{format_gens(prefix[:i])}")
+                    break
+                d = d_next
+            assert verdict == expected, prefix
+            accepted += expected is None
+            rejected += expected is not None
+    assert accepted >= 30 and rejected >= 30, (accepted, rejected)
+    hermitian = [am_sequence(normalize_degree(parse_poly(curve,
+                                                         parse_field(fld))))
+                 for fld, curve in (("GF(2^2)", "Y^2+Y+X^3"),
+                                    ("GF(2^4)", "Y^4+Y+X^5"))]
+    for seq in [golden_seq] + hermitian:
+        S_P = semigroup_at_infinity(seq).numerical()
+        S = NumericalSemigroup.from_generators(seq.delta)
+        assert S_P.e == seq.delta[0]
+        assert (S_P.gaps(), S_P.genus, S_P.conductor) == \
+            (S.gaps(), S.genus, S.conductor), seq.delta

@@ -235,8 +235,8 @@ def test_function_for_rule_matches_definition(case, golden_seq,
         seq, report = _report_for("GF(2^4)", "Y^4+Y+X^5")
     table = report.table
     field = table.oracle.field
-    tel = report.s_p.telescopic()
-    S_P = report.s_p.numerical()
+    tel = report.s_p
+    S_P = tel.numerical()
     lcs = [valuation(table.oracle, F).leading.rep for F in seq.roots]
     bound = 4 * S_P.genus + 2 * table.e
     for r in S_P.elements(bound):
