@@ -6,7 +6,8 @@ multiply-add c + a*b, optionally truncated (every UniPoly sum, difference,
 negation, scaling and product, hence the Rabin test in `fields`; the
 series products and sums of products in `branch`; the Newton series
 inverse `_ser_inv` and its step; UniPoly division over GF(p) above
-`_NEWTON_CUTOFF`, quotient and remainder; the row operations and codeword
+`_NEWTON_CUTOFF`, quotient and remainder; each pseudo-remainder step and
+exact division of the subresultant chain; the row operations and codeword
 sums in `codes`); over GF(p) it packs long operands and c into big
 integers (`_kronecker_mul`), and over GF(p^k) with log tables it
 multiplies over the logs of the nonzero coefficients, taken once per
@@ -20,9 +21,12 @@ the field has tables); a bivariate polynomial is first specialized at X
 Every repr is one call to the one writer `fields.write_sum`, with
 coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
-subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X];
-the zero resultant is reported with the degree sentinel -inf, which the
-callers rely on as the common-factor signal.
+subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X],
+on Y-coefficients held as rep lists: `_prem` lays the rows of a step end
+to end, so the step is two `_list_mul` calls for every field, and
+`_exact_quotients` divides every row by one X-polynomial with one shared
+series inverse.  The zero resultant is reported with the degree sentinel
+-inf, which the callers rely on as the common-factor signal.
 """
 
 import math
@@ -37,9 +41,9 @@ NEG_INF = float("-inf")
 
 # Largest exponent a parsed polynomial, and largest deg_Y a normalized
 # model, may have; not user-settable, like fields.ORDER_LIMIT.  Measured on
-# `curve analyze` of Y^m+X^7 over GF(2) and GF(5) (2-vCPU Xeon, Python
-# 3.11): every model of deg_Y <= 850 in the sweep took at most 8.4 s,
-# deg_Y 896 took 11 s and 1001 took 12-17 s.
+# `curve analyze` of Y^m+X^7 over GF(2) and GF(5), m = 400..850 in steps of
+# 10 and m = 845 (2-vCPU Xeon, Python 3.11): every model of deg_Y <= 850
+# took at most 3.7 s, the slowest Y^845+X^7 over GF(5) (deg_Y 847).
 DEGREE_LIMIT = 850
 
 _KRONECKER_CUTOFF = 64
@@ -531,32 +535,85 @@ class BiPoly:
 # -- Y-resultant via subresultant PRS over GF(q)[X] -----------------------
 
 def _prem(f, g, field):
-    """Pseudo-remainder of Y-coefficient lists over GF(q)[X]."""
+    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g of Y-coefficient
+    lists over GF(q)[X], each coefficient a rep list without trailing zeros.
+
+    A step r <- r*lc(g) - lc(r)*g*Y^s works on whole rows: the coefficients
+    it changes lie end to end at a stride that holds the step's growth in
+    X-degree, so the step is a product by lc(g) (none when g is monic) and
+    one multiply-add whose addend is that product."""
     df, dg = len(f) - 1, len(g) - 1
-    r = list(f)
+    r = [list(c) for c in f]
     if df < dg:
         return r
-    lcg = g[dg]
-    monic = lcg.coeffs == (1,)
+    lcg = list(g[dg])
+    monic = lcg == [1]
+    glen = max(map(len, g[:dg]), default=0)
     n = df - dg + 1
     while r and len(r) - 1 >= dg:
         dr = len(r) - 1
-        lcr = r[dr]
-        shift = dr - dg
-        new = []
-        for i in range(dr):
-            t = r[i] if monic else r[i] * lcg
-            if shift <= i <= shift + dg - 1:
-                t = t - lcr * g[i - shift]
-            new.append(t)
-        r = new
-        while r and r[-1].is_zero():
+        lcr = [field.neg(x) for x in r[dr]]
+        keep = dr - dg if monic else 0    # rows a monic step leaves alone
+        rows = r[keep:dr]
+        stride = max(max(map(len, rows), default=0) + len(lcg),
+                     glen + len(lcr)) - 1
+        flat = _lay(rows, stride)
+        if not monic:
+            flat = _list_mul(flat, lcg, field)
+        cut = (dr - dg - keep) * stride
+        flat += [0] * (cut - len(flat))
+        flat[cut:] = _list_mul(lcr, _lay(g[:dg], stride), field, None,
+                               flat[cut:])
+        r = r[:keep] + [_trim(flat[i * stride:(i + 1) * stride])
+                        for i in range(dr - keep)]
+        while r and not r[-1]:
             r.pop()
         n -= 1
     if n and not monic:
-        scale = lcg ** n
-        r = [c * scale for c in r]
+        scale = (UniPoly(field, lcg) ** n).coeffs
+        r = [_list_mul(row, scale, field) for row in r]
     return r
+
+
+def _lay(rows, stride):
+    """Rep lists end to end, each padded with zeros to `stride` entries."""
+    flat = []
+    for row in rows:
+        flat += row
+        flat += [0] * (stride - len(row))
+    return flat
+
+
+def _trim(row):
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
+def _exact_quotients(chs, b, field):
+    """The quotients c / b of rep lists c by one X-polynomial b (a rep list
+    with nonzero top entry); `InconsistencyError` when b does not divide
+    one of them.
+
+    Over GF(p), from _NEWTON_CUTOFF on, rev(b)^-1 is built once by
+    `_ser_inv` to the longest quotient's length; each quotient q is then
+    one truncated product, and b divides c exactly when q*b agrees with c
+    on the low deg b entries.  Otherwise each is `UniPoly.exact_div`."""
+    lb = len(b)
+    n = max(map(len, chs), default=0) - lb + 1
+    if field.k != 1 or n * lb < _NEWTON_CUTOFF:
+        d = UniPoly(field, b)
+        return [list(UniPoly(field, c).exact_div(d).coeffs) for c in chs]
+    inv = _ser_inv(b[::-1], field, n)
+    out = []
+    for c in chs:
+        k = len(c) - lb + 1
+        q = _list_mul(c[:-k - 1:-1], inv[:k], field, k) if k > 0 else []
+        q = (q + [0] * (k - len(q)))[::-1]
+        if _list_mul(q, b, field, lb - 1) != _trim(list(c[:lb - 1])):
+            raise InconsistencyError("inexact polynomial division")
+        out.append(q)
+    return out
 
 
 def resultant_y(f, g):
@@ -565,7 +622,8 @@ def resultant_y(f, g):
     field = f.field
     if f.is_zero() or g.is_zero():
         return UniPoly.zero(field)
-    fl, gl = f.y_coeffs(), g.y_coeffs()
+    fl = [c.coeffs for c in f.y_coeffs()]
+    gl = [c.coeffs for c in g.y_coeffs()]
     n, m = len(fl) - 1, len(gl) - 1
     negate = False
     if n < m:
@@ -576,16 +634,18 @@ def resultant_y(f, g):
         return UniPoly.zero(field)
     d = n - m
     b_sign = 1 if (d + 1) % 2 == 0 else field.neg(1)
-    h = [c.scale(b_sign) for c in _prem(fl, gl, field)]
-    lc = gl[-1]
+    h = _prem(fl, gl, field)
+    if b_sign != 1:
+        h = [_list_mul(ch, (b_sign,), field) for ch in h]
+    lc = UniPoly(field, gl[-1])
     res = lc ** d
     c = -res
     while h:
         k = len(h) - 1
         fl, gl, m, d = gl, h, k, m - k
         b = (-lc) * (c ** d)
-        h = [ch.exact_div(b) for ch in _prem(fl, gl, field)]
-        lc = gl[-1]
+        h = _exact_quotients(_prem(fl, gl, field), b.coeffs, field)
+        lc = UniPoly(field, gl[-1])
         if d > 1:
             c = ((-lc) ** d).exact_div(c ** (d - 1))
         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import power
-from .polynomials import BiPoly, UniPoly
+from .polynomials import BiPoly, UniPoly, _exact_quotients
 from .semigroups import NumericalSemigroup, TelescopicStructure
 
 
@@ -36,11 +36,11 @@ def _strip_common_content(num, den):
     """Cancel the common univariate X-content of numerator and denominator
     (no gcd over the curve is attempted)."""
     g = _x_content(num).gcd(_x_content(den))
-    if not g.is_zero() and g.degree >= 1:
-        num = BiPoly.from_y_coeffs(num.field,
-                                   [c.exact_div(g) for c in num.y_coeffs()])
-        den = BiPoly.from_y_coeffs(den.field,
-                                   [c.exact_div(g) for c in den.y_coeffs()])
+    if g.degree >= 1:
+        f = num.field
+        num, den = (BiPoly.from_y_coeffs(f, [UniPoly(f, q) for q in
+                    _exact_quotients([c.coeffs for c in P.y_coeffs()],
+                                     g.coeffs, f)]) for P in (num, den))
     return num, den
 
 

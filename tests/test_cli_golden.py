@@ -62,6 +62,8 @@ CASES = {
                          "--curve", "Y^150+X^7"],
     "y200_gf5_analyze": ["curve", "analyze", "--field", "GF(5)",
                          "--curve", "Y^200+X^7"],
+    "y100_gf4_analyze": ["curve", "analyze", "--field", "GF(2^2)",
+                         "--curve", "Y^100+X^7"],
     "semigroup_stats_8_10_12_13": ["semigroup", "stats",
                                    "--gens", "8,10,12,13"],
     "semigroup_stats_6_10_15_pivot_10": ["semigroup", "stats",

@@ -137,25 +137,46 @@ def _sylvester_resultant(fc, gc, field):
     return det
 
 
+def _lifted_values(P, E, e):
+    """The Y-coefficients of P, lifted to E by e, as values at each x of E."""
+    cols = P.lift(E, e).y_coeffs()
+    return [[c.eval_rep(x) for c in cols] for x in range(E.order)]
+
+
+# (field, field to check in, [(deg_X f, deg_Y f, deg_X g, deg_Y g)]): small
+# pairs at every point of GF(101), and pairs with a long subresultant chain
+# at every point of an extension field, so that GF(2) gives 256 checks
+_SYLVESTER_CASES = [
+    (FiniteField(101), None, [(2, 3, 2, 3)] * 10),
+    (FiniteField(2), FiniteField(2, 8), [(8, 20, 8, 6), (9, 22, 8, 9)]),
+    (FiniteField(5), FiniteField(5, 3), [(8, 20, 8, 7), (10, 21, 9, 10)]),
+]
+
+
 def test_resultant_against_sylvester_specialization():
     """For f monic in Y, Res_Y(f, g)(x0) equals the Sylvester determinant
     of the specialized univariate pair whenever deg_Y is preserved."""
-    rng = random.Random(8)
-    field = FiniteField(101)
-    for _ in range(10):
-        f = BiPoly.monomial(field, 0, 4) + _random_bipoly(rng, field, 2, 3)
-        g = _random_bipoly(rng, field, 2, 3)
-        if g.is_zero():
-            continue
-        res = resultant_y(f, g)
-        dy_g = g.deg_y
-        for x0 in range(30):
-            fc = [p.eval_rep(x0) for p in f.y_coeffs()]
-            gc = [p.eval_rep(x0) for p in g.y_coeffs()]
-            if not gc or gc[-1] == 0:
-                continue  # degree drop: specialization formula not direct
-            expected = _sylvester_resultant(fc, gc, field)
-            assert res.eval_rep(x0) == expected
+    for field, E, shapes in _SYLVESTER_CASES:
+        rng = random.Random(f"sylvester:{field!r}")
+        E = E or field
+        e = field.embedding_into(E)
+        for dxf, dyf, dxg, dyg in shapes:
+            f = BiPoly.monomial(field, 0, dyf + 1) + \
+                _random_bipoly(rng, field, dxf, dyf)
+            g = _random_bipoly(rng, field, dxg, dyg)
+            if g.is_zero():
+                continue
+            res = UniPoly(E, [e(c) for c in resultant_y(f, g).coeffs])
+            checks = 0
+            for x0, fc, gc in zip(range(E.order), _lifted_values(f, E, e),
+                                  _lifted_values(g, E, e)):
+                while gc and gc[-1] == 0:
+                    gc.pop()
+                if len(gc) - 1 != g.deg_y:
+                    continue  # degree drop: specialization formula not direct
+                assert res.eval_rep(x0) == _sylvester_resultant(fc, gc, E)
+                checks += 1
+            assert checks > 2
 
 
 def test_unipoly_gcd_and_divmod():
@@ -436,12 +457,131 @@ def test_prem_by_monic_divisor_is_the_remainder(field):
         dy = rng.randint(1, 4)
         low = _random_bipoly(rng, field, 3, dy - 1)
         g = BiPoly.monomial(field, 0, dy) + low
-        assert polynomials._prem(f.y_coeffs(), g.y_coeffs(), field) == \
-            f.divmod_y(g)[1].y_coeffs()
+        assert polynomials._prem(_rows(f), _rows(g), field) == \
+            _rows(f.divmod_y(g)[1])
 
 
-def _slot_width(la, lb, p):
-    bound = min(la, lb) * (p - 1) ** 2
+def _rows(P):
+    return [list(c.coeffs) for c in P.y_coeffs()]
+
+
+def _prem_per_coefficient(f, g, field):
+    """The pseudo-remainder one UniPoly Y-coefficient at a time: the oracle
+    for the whole-row `_prem`."""
+    f = [UniPoly(field, c) for c in f]
+    g = [UniPoly(field, c) for c in g]
+    df, dg = len(f) - 1, len(g) - 1
+    r = list(f)
+    if df >= dg:
+        lcg = g[dg]
+        n = df - dg + 1
+        while r and len(r) - 1 >= dg:
+            dr = len(r) - 1
+            lcr, shift = r[dr], dr - dg
+            r = [r[i] * lcg - (lcr * g[i - shift] if i >= shift else
+                               UniPoly.zero(field)) for i in range(dr)]
+            while r and r[-1].is_zero():
+                r.pop()
+            n -= 1
+        r = [c * lcg ** n for c in r]
+    return [list(c.coeffs) for c in r]
+
+
+def _random_rows(rng, field, dy, dx, top):
+    """dy + 1 Y-coefficients of X-length at most dx, about a quarter of the
+    lower ones zero, the top one `top` or random."""
+    def row():
+        return list(_random_unipoly(rng, field, rng.randint(1, dx)).coeffs)
+    return ([row() if rng.random() < 0.75 else [] for _ in range(dy)]
+            + [top or row()])
+
+
+# (deg_Y f, deg_Y g, X-length bound): products below and above
+# _KRONECKER_CUTOFF, a g constant in Y, an f of lower degree than g
+_PREM_SHAPES = [(3, 2, 2), (6, 0, 3), (2, 4, 3), (12, 5, 8), (30, 9, 24)]
+
+
+def test_prem_against_per_coefficient_loop(monkeypatch):
+    """The whole-row `_prem` equals the per-coefficient loop for monic and
+    non-monic divisors, over every kind of field, at every Kronecker slot
+    width."""
+    widths, products = set(), []
+    kronecker = polynomials._kronecker_mul
+
+    def recorded(a, b, p, n_out, c=()):
+        widths.add(_slot_width(len(a), len(b), p, bool(c)))
+        return kronecker(a, b, p, n_out, c)
+
+    list_mul = polynomials._list_mul
+
+    def sized(a, b, field, trunc=None, c=()):
+        if field.k == 1:
+            products.append(len(a) * len(b) >= _KRONECKER_CUTOFF)
+        return list_mul(a, b, field, trunc, c)
+
+    monkeypatch.setattr(polynomials, "_kronecker_mul", recorded)
+    monkeypatch.setattr(polynomials, "_list_mul", sized)
+    for field in (FiniteField(2), FiniteField(5), FiniteField(101),
+                  FiniteField(1048573), FiniteField(2, 2), FiniteField(3, 2)):
+        rng = random.Random(f"prem-rows:{field!r}")
+        for dyf, dyg, dx in _PREM_SHAPES:
+            for top in ([1], None):
+                f = _random_rows(rng, field, dyf, dx, None)
+                g = _random_rows(rng, field, dyg, dx, top)
+                assert polynomials._prem(f, g, field) == \
+                    _prem_per_coefficient(f, g, field)
+    assert widths == {1, 2, 4, 8}
+    assert set(products) == {True, False}
+
+
+# (field, divisor length, longest quotient length): the shared inverse over
+# GF(p) from _NEWTON_CUTOFF on, and the fallbacks below it and over GF(p^k)
+_QUOTIENT_CASES = [(FiniteField(2), 40, 40), (FiniteField(5), 33, 60),
+                   (FiniteField(101), 60, 20), (FiniteField(5), 6, 8),
+                   (FiniteField(3, 2), 12, 15)]
+
+
+@pytest.mark.parametrize("field, lb, n", _QUOTIENT_CASES,
+                         ids=lambda v: repr(v) if isinstance(v, FiniteField)
+                         else str(v))
+def test_exact_quotients_raise_on_one_inexact_coefficient(field, lb, n,
+                                                         monkeypatch):
+    """`_exact_quotients` returns every quotient, and raises when exactly
+    one coefficient is not a multiple of b, wherever it stands, for b with
+    and without a constant term.  Over GF(p) from _NEWTON_CUTOFF on, each
+    call builds one series inverse."""
+    inverses = []
+    ser_inv = polynomials._ser_inv
+
+    def counted(a, f, prec):
+        inverses.append(prec)
+        return ser_inv(a, f, prec)
+
+    monkeypatch.setattr(polynomials, "_ser_inv", counted)
+    shared = field.k == 1 and n * lb >= _NEWTON_CUTOFF
+    rng = random.Random(f"quotients:{field!r}:{lb}")
+    for constant in (True, False):
+        b = _random_unipoly(rng, field, lb)
+        b = UniPoly(field, [rng.randrange(1, field.order) if constant else 0]
+                    + list(b.coeffs[1:]))
+        qs = [_random_unipoly(rng, field, k) if k else UniPoly.zero(field)
+              for k in (n, 1, n // 2, 0, n)]
+        chs = [list((q * b).coeffs) for q in qs]
+        inverses.clear()
+        assert polynomials._exact_quotients(chs, list(b.coeffs), field) == \
+            [list(q.coeffs) for q in qs]
+        assert inverses == ([n] if shared else [])
+        short = list(_random_unipoly(rng, field, lb - 1).coeffs)
+        for i in range(len(chs)):
+            for bad in (_list_mul([1], [0] * rng.randrange(len(chs[i]) + 1)
+                                  + [1], field, None, chs[i]), short):
+                with pytest.raises(InconsistencyError, match="inexact"):
+                    polynomials._exact_quotients(
+                        chs[:i] + [bad] + chs[i + 1:], list(b.coeffs), field)
+
+
+def _slot_width(la, lb, p, addend=False):
+    bound = min(la, lb) * (p - 1) ** 2 + (p - 1 if addend else 0)
     return min(w for w in (1, 2, 4, 8) if bound < 256 ** w)
 
 
