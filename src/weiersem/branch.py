@@ -243,8 +243,8 @@ class BranchParam:
         if self._mode == "u_of_v":
             G = G.swap_xy()
         # the Y-coefficients of G are polynomials in t, i.e. series in t
-        rows = [list(c.coeffs) for c in G.y_coeffs()]
-        drows = [list(c.coeffs) for c in G.derivative_y().y_coeffs()]
+        rows = G.y_coeffs()
+        drows = G.derivative_y().y_coeffs()
         minus_one = [field.neg(1)]
         s = []
         cur = 1

@@ -40,12 +40,12 @@ def _monic_scaled(F):
     nonzero constant, else None."""
     if F.is_zero() or F.deg_y < 1:
         return None
-    lc = F.lc_y()
-    if lc.degree != 0:
+    lc = F.y_coeffs()[-1]
+    if len(lc) != 1:
         return None
-    if lc.lc == 1:
+    if lc == [1]:
         return F
-    return F.scale(F.field.inv(lc.lc))
+    return F.scale(F.field.inv(lc[0]))
 
 
 def _tilt(G):

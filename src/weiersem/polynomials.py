@@ -5,14 +5,19 @@ the polynomial arithmetic: `_list_mul` is the one coefficient-list
 multiply-add c + a*b, optionally truncated (every UniPoly sum, difference,
 negation, scaling and product, hence the Rabin test in `fields`; the
 series products and sums of products in `branch`; the Newton series
-inverse `_ser_inv` and its step; UniPoly division over GF(p) above
-`_NEWTON_CUTOFF`, quotient and remainder; each pseudo-remainder step and
-exact division of the subresultant chain; the row operations and codeword
-sums in `codes`); over GF(p) it packs long operands and c into big
-integers (`_kronecker_mul`), and over GF(p^k) with log tables it
-multiplies over the logs of the nonzero coefficients, taken once per
-operand.  Kernels call the field's bound `add` and `mul`, whose kind of
-arithmetic is chosen once per field, in `fields`, never here.
+inverse `_ser_inv` and its step; every division below; the row
+operations and codeword sums in `codes`); over GF(p) it packs long
+operands and c into big integers (`_kronecker_mul`), and over GF(p^k)
+with log tables it multiplies over the logs of the nonzero coefficients,
+taken once per operand.  Kernels call the field's bound `add` and `mul`,
+whose kind of arithmetic is chosen once per field, in `fields`, never here.
+There is one division per ring, on rep lists (`BiPoly.y_coeffs` gives the
+Y-coefficients as such).  `_divmod_rows` is the one X-division of rows by
+one X-polynomial, by a shared Newton inverse over GF(p) from
+`_NEWTON_CUTOFF` on and by the schoolbook loop otherwise: `UniPoly.divmod`
+and every exact division are one call of it.  `_prem` is the one
+Y-division, the pseudo-remainder, and is `BiPoly.divmod_y` for a divisor
+monic in Y.
 `BiPoly.substitute_binomial` is the one linear change of variables
 (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
 value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
@@ -21,12 +26,11 @@ the field has tables); a bivariate polynomial is first specialized at X
 Every repr is one call to the one writer `fields.write_sum`, with
 coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
-subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X],
-on Y-coefficients held as rep lists: `_prem` lays the rows of a step end
-to end, so the step is two `_list_mul` calls for every field, and
-`_exact_quotients` divides every row by one X-polynomial with one shared
-series inverse.  The zero resultant is reported with the degree sentinel
--inf, which the callers rely on as the common-factor signal.
+subresultant pseudo-remainder sequence over the coefficient ring GF(q)[X]:
+`_prem` lays the rows of a step end to end, so the step is two `_list_mul`
+calls for every field, and each exact division of the chain is one
+`_divmod_rows` call.  The zero resultant is reported with the degree
+sentinel -inf, which the callers rely on as the common-factor signal.
 """
 
 import math
@@ -47,7 +51,7 @@ NEG_INF = float("-inf")
 DEGREE_LIMIT = 850
 
 _KRONECKER_CUTOFF = 64
-# Quotient length * divisor length from which UniPoly.divmod over GF(p)
+# Quotient length * divisor length from which `_divmod_rows` over GF(p)
 # divides by Newton inversion.  Over GF(2), GF(5) and GF(101) it beat the
 # schoolbook loop on every measured shape at or above 1024 but one (256 by
 # 4 coefficients over GF(2), 0.9x), and lost on some at 512.
@@ -97,6 +101,16 @@ def _pack(a, tc):
     return int.from_bytes(arr.tobytes(), "little")
 
 
+def _trim(row):
+    """row without its trailing zeros, in place; an all-zero row, such as
+    the remainder of an exact division, is cleared in one C-level scan."""
+    if not any(row):
+        row.clear()
+    while row and row[-1] == 0:
+        row.pop()
+    return row
+
+
 def _list_mul(a, b, field, trunc=None, c=()):
     """The coefficient-list multiply-add: c + a*b without trailing zeros,
     or only its first `trunc` coefficients (truncated power series)."""
@@ -136,9 +150,7 @@ def _list_mul(a, b, field, trunc=None, c=()):
                 for j, bj in enumerate(b if i + lb <= n else b[:n - i]):
                     if bj:
                         out[i + j] = add(out[i + j], mul(ai, bj))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 def _ser_inv(a, field, prec):
@@ -230,34 +242,11 @@ class UniPoly:
 
     def divmod(self, other):
         """Division with remainder; valid since coefficients form a field.
-
-        Over GF(p) with (deg a - deg b + 1)*len(b) >= _NEWTON_CUTOFF, the
-        quotient is rev(a)*rev(b)^-1 mod X^(deg a - deg b + 1) from the
-        series inverse `_ser_inv`, and the remainder a - q*b on its low
-        deg b coefficients is one `_list_mul` multiply-add.
-        Otherwise the schoolbook loop runs."""
+        One call of the X-division `_divmod_rows`."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        dg = len(b) - 1
-        n = len(a) - dg
-        if f.k == 1 and n * len(b) >= _NEWTON_CUTOFF:
-            q = _list_mul(a[:-n - 1:-1], _ser_inv(b[:-n - 1:-1], f, n), f, n)
-            q = (q + [0] * (n - len(q)))[::-1]
-            r = _list_mul([f.neg(x) for x in q], b, f, dg, a[:dg])
-            return UniPoly(f, q, self.var), UniPoly(f, r, self.var)
-        r = list(a)
-        inv_lc = f.inv(other.lc)
-        q = [0] * max(n, 0)
-        while len(r) - 1 >= dg and r:
-            c = f.mul(r[-1], inv_lc)
-            d = len(r) - 1 - dg
-            q[d] = c
-            for i in range(dg + 1):
-                r[d + i] = f.sub(r[d + i], f.mul(c, b[i]))
-            while r and r[-1] == 0:
-                r.pop()
+        (q, r), = _divmod_rows([self.coeffs], other.coeffs, f)
         return UniPoly(f, q, self.var), UniPoly(f, r, self.var)
 
     def exact_div(self, other):
@@ -393,32 +382,25 @@ class BiPoly:
     # -- views ----------------------------------------------------------
 
     def y_coeffs(self):
-        """Coefficients as a polynomial in Y over GF(q)[X], ascending."""
+        """Coefficients as a polynomial in Y over GF(q)[X], ascending, each
+        a rep list without trailing zeros."""
         if self.is_zero():
             return []
-        out = [{} for _ in range(self.deg_y + 1)]
+        out = [[] for _ in range(self.deg_y + 1)]
         for (i, j), c in self.terms.items():
-            out[j][i] = c
-        return [UniPoly(self.field, [d.get(i, 0) for i in range(max(d) + 1)] if d else ())
-                for d in out]
+            row = out[j]
+            row += [0] * (i + 1 - len(row))
+            row[i] = c
+        return out
 
     @classmethod
-    def from_y_coeffs(cls, field, coeffs):
-        terms = {}
-        for j, poly in enumerate(coeffs):
-            for i, c in enumerate(poly.coeffs):
-                if c:
-                    terms[(i, j)] = c
-        return cls(field, terms)
-
-    def lc_y(self):
-        """Leading coefficient w.r.t. Y, as a polynomial in X."""
-        ys = self.y_coeffs()
-        return ys[-1] if ys else UniPoly.zero(self.field)
+    def from_y_coeffs(cls, field, rows):
+        """The polynomial whose Y-coefficients are the rep lists `rows`."""
+        return cls(field, {(i, j): c for j, row in enumerate(rows)
+                           for i, c in enumerate(row)})
 
     def is_monic_in_y(self):
-        lc = self.lc_y()
-        return lc.degree == 0 and lc.lc == 1
+        return self.y_coeffs()[-1:] == [[1]]
 
     def swap_xy(self):
         return BiPoly(self.field, {(j, i): c for (i, j), c in self.terms.items()})
@@ -435,24 +417,15 @@ class BiPoly:
     # -- operations -----------------------------------------------------
 
     def divmod_y(self, other):
-        """Long division by a divisor that is monic in Y."""
-        if not other.is_monic_in_y():
+        """Long division by a divisor that is monic in Y: the Y-division
+        `_prem`, whose remainder is f mod g and whose step rows are the
+        quotient for such a divisor."""
+        g = other.y_coeffs()
+        if g[-1:] != [[1]]:
             raise ValueError("divmod_y requires a divisor monic in Y")
         f = self.field
-        r = self.y_coeffs()
-        g = other.y_coeffs()
-        dg = len(g) - 1
-        q = [UniPoly.zero(f) for _ in range(max(len(r) - dg, 0))]
-        while len(r) - 1 >= dg and r:
-            t = r[-1]
-            d = len(r) - 1 - dg
-            q[d] = t
-            for i in range(dg + 1):
-                r[d + i] = r[d + i] - t * g[i]
-            r.pop()
-            while r and r[-1].is_zero():
-                r.pop()
-        return (BiPoly.from_y_coeffs(f, q), BiPoly.from_y_coeffs(f, r))
+        q, r = _prem(self.y_coeffs(), g, f)
+        return BiPoly.from_y_coeffs(f, q), BiPoly.from_y_coeffs(f, r)
 
     def substitute_binomial(self, lam, exponent, key):
         """The one linear change of variables: each term c*X^i*Y^j becomes
@@ -535,8 +508,11 @@ class BiPoly:
 # -- Y-resultant via subresultant PRS over GF(q)[X] -----------------------
 
 def _prem(f, g, field):
-    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g of Y-coefficient
-    lists over GF(q)[X], each coefficient a rep list without trailing zeros.
+    """The Y-division of Y-coefficient lists over GF(q)[X], each coefficient
+    a rep list without trailing zeros: the pseudo-remainder
+    lc(g)^(deg f - deg g + 1) * f mod g, next to the rows lc(r) its steps
+    take, each at its shift in Y.  For g monic in Y the remainder is f mod g
+    and those rows are the quotient.
 
     A step r <- r*lc(g) - lc(r)*g*Y^s works on whole rows: the coefficients
     it changes lie end to end at a stride that holds the step's growth in
@@ -545,13 +521,15 @@ def _prem(f, g, field):
     df, dg = len(f) - 1, len(g) - 1
     r = [list(c) for c in f]
     if df < dg:
-        return r
+        return [], r
     lcg = list(g[dg])
     monic = lcg == [1]
     glen = max(map(len, g[:dg]), default=0)
     n = df - dg + 1
+    q = [[] for _ in range(n)]
     while r and len(r) - 1 >= dg:
         dr = len(r) - 1
+        q[dr - dg] = r[dr]
         lcr = [field.neg(x) for x in r[dr]]
         keep = dr - dg if monic else 0    # rows a monic step leaves alone
         rows = r[keep:dr]
@@ -572,7 +550,7 @@ def _prem(f, g, field):
     if n and not monic:
         scale = (UniPoly(field, lcg) ** n).coeffs
         r = [_list_mul(row, scale, field) for row in r]
-    return r
+    return q, r
 
 
 def _lay(rows, stride):
@@ -584,36 +562,52 @@ def _lay(rows, stride):
     return flat
 
 
-def _trim(row):
-    while row and row[-1] == 0:
-        row.pop()
-    return row
+def _divmod_rows(rows, b, field):
+    """The X-division: [(q, r)] with c = q*b + r and deg r < deg b for each
+    rep list c of `rows`, by one X-polynomial b (a rep list with nonzero
+    top entry); every q and r a rep list without trailing zeros.
 
-
-def _exact_quotients(chs, b, field):
-    """The quotients c / b of rep lists c by one X-polynomial b (a rep list
-    with nonzero top entry); `InconsistencyError` when b does not divide
-    one of them.
-
-    Over GF(p), from _NEWTON_CUTOFF on, rev(b)^-1 is built once by
-    `_ser_inv` to the longest quotient's length; each quotient q is then
-    one truncated product, and b divides c exactly when q*b agrees with c
-    on the low deg b entries.  Otherwise each is `UniPoly.exact_div`."""
+    Over GF(p), when the longest quotient's length times len(b) reaches
+    _NEWTON_CUTOFF, rev(b)^-1 is built once by `_ser_inv` to that length;
+    each quotient is then one truncated product, and each remainder is
+    c - q*b on the low deg b entries, one multiply-add by the pre-negated b.
+    Otherwise the schoolbook loop runs."""
     lb = len(b)
-    n = max(map(len, chs), default=0) - lb + 1
-    if field.k != 1 or n * lb < _NEWTON_CUTOFF:
-        d = UniPoly(field, b)
-        return [list(UniPoly(field, c).exact_div(d).coeffs) for c in chs]
-    inv = _ser_inv(b[::-1], field, n)
+    dg = lb - 1
+    n = max(map(len, rows), default=0) - dg
+    nb = [field.neg(x) for x in b]
     out = []
-    for c in chs:
-        k = len(c) - lb + 1
-        q = _list_mul(c[:-k - 1:-1], inv[:k], field, k) if k > 0 else []
-        q = (q + [0] * (k - len(q)))[::-1]
-        if _list_mul(q, b, field, lb - 1) != _trim(list(c[:lb - 1])):
-            raise InconsistencyError("inexact polynomial division")
-        out.append(q)
+    if field.k == 1 and n * lb >= _NEWTON_CUTOFF:
+        inv = _ser_inv(b[::-1], field, n)
+        for c in rows:
+            k = len(c) - dg
+            q = _list_mul(c[:-k - 1:-1], inv[:k], field, k) if k > 0 else []
+            q = (q + [0] * (k - len(q)))[::-1]
+            out.append((q, _list_mul(q, nb, field, dg, c[:dg])))
+        return out
+    inv_lc = field.inv(b[-1])
+    mul, add = field.mul, field.add
+    for c in rows:
+        r = list(c)
+        q = [0] * max(len(r) - dg, 0)
+        while len(r) > dg:
+            d = len(r) - lb
+            t = q[d] = mul(r[-1], inv_lc)
+            for i in range(dg):     # the top entry cancels by construction
+                r[d + i] = add(r[d + i], mul(t, nb[i]))
+            r.pop()
+            _trim(r)
+        out.append((q, r))
     return out
+
+
+def _exact_quotients(rows, b, field):
+    """The quotients c / b of the `_divmod_rows` division;
+    `InconsistencyError` when b does not divide one of them."""
+    out = _divmod_rows(rows, b, field)
+    if any(r for _, r in out):
+        raise InconsistencyError("inexact polynomial division")
+    return [q for q, _ in out]
 
 
 def resultant_y(f, g):
@@ -622,8 +616,7 @@ def resultant_y(f, g):
     field = f.field
     if f.is_zero() or g.is_zero():
         return UniPoly.zero(field)
-    fl = [c.coeffs for c in f.y_coeffs()]
-    gl = [c.coeffs for c in g.y_coeffs()]
+    fl, gl = f.y_coeffs(), g.y_coeffs()
     n, m = len(fl) - 1, len(gl) - 1
     negate = False
     if n < m:
@@ -634,7 +627,7 @@ def resultant_y(f, g):
         return UniPoly.zero(field)
     d = n - m
     b_sign = 1 if (d + 1) % 2 == 0 else field.neg(1)
-    h = _prem(fl, gl, field)
+    h = _prem(fl, gl, field)[1]
     if b_sign != 1:
         h = [_list_mul(ch, (b_sign,), field) for ch in h]
     lc = UniPoly(field, gl[-1])
@@ -644,7 +637,7 @@ def resultant_y(f, g):
         k = len(h) - 1
         fl, gl, m, d = gl, h, k, m - k
         b = (-lc) * (c ** d)
-        h = _exact_quotients(_prem(fl, gl, field), b.coeffs, field)
+        h = _exact_quotients(_prem(fl, gl, field)[1], b.coeffs, field)
         lc = UniPoly(field, gl[-1])
         if d > 1:
             c = ((-lc) ** d).exact_div(c ** (d - 1))

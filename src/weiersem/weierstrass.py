@@ -26,7 +26,7 @@ def _x_content(P):
     """gcd over GF(q)[X] of the Y-coefficients of P."""
     g = UniPoly.zero(P.field)
     for c in P.y_coeffs():
-        g = g.gcd(c)
+        g = g.gcd(UniPoly(P.field, c))
         if g.degree == 0:
             break
     return g
@@ -38,9 +38,8 @@ def _strip_common_content(num, den):
     g = _x_content(num).gcd(_x_content(den))
     if g.degree >= 1:
         f = num.field
-        num, den = (BiPoly.from_y_coeffs(f, [UniPoly(f, q) for q in
-                    _exact_quotients([c.coeffs for c in P.y_coeffs()],
-                                     g.coeffs, f)]) for P in (num, den))
+        num, den = (BiPoly.from_y_coeffs(f, _exact_quotients(
+            P.y_coeffs(), g.coeffs, f)) for P in (num, den))
     return num, den
 
 

@@ -376,14 +376,15 @@ _BUFFERED_ENV = {k: v for k, v in os.environ.items()
 def test_closed_stdout_pipe_exit_1():
     """The reader takes one line and closes the pipe; the writer ends with
     one error line, not a traceback."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "weiersem", "semigroup", "fengrao",
-         "--gens", "3,4", "--m-range", "0:60000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED_ENV)
-    assert proc.stdout.readline().split()[0] == b"m"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "weiersem", "semigroup", "fengrao",
+             "--gens", "3,4", "--m-range", "0:60000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_BUFFERED_ENV) as proc:
+        assert proc.stdout.readline().split()[0] == b"m"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -48,18 +48,25 @@ def test_substitution_roundtrip_random():
 
 
 def test_divmod_reconstruction_random(gf2):
+    """q*g + r = f through the sparse product, with deg_Y r < deg_Y g, for
+    random dividends, the zero dividend and dividends of lower Y-degree
+    than g, over prime and extension fields."""
     rng = random.Random(6)
-    F5 = FiniteField(5)
-    for field in (gf2, F5):
+    for field in (gf2, FiniteField(5), FiniteField(2, 2)):
         for _ in range(20):
-            f = _random_bipoly(rng, field, 3, 5)
-            g_low = _random_bipoly(rng, field, 2, 1)
             dy = rng.randint(1, 3)
+            g_low = _random_bipoly(rng, field, 2, 1)
             g = BiPoly.monomial(field, 0, dy) + \
                 BiPoly(field, {k: v for k, v in g_low.terms.items() if k[1] < dy})
-            q, r = f.divmod_y(g)
-            assert q * g + r == f
-            assert r.is_zero() or r.deg_y < g.deg_y
+            for f in (_random_bipoly(rng, field, 3, 5), BiPoly.zero(field),
+                      _random_bipoly(rng, field, 3, dy - 1)):
+                q, r = f.divmod_y(g)
+                assert q * g + r == f
+                assert r.is_zero() or r.deg_y < g.deg_y
+                if f.is_zero() or f.deg_y < dy:
+                    assert (q, r) == (BiPoly.zero(field), f)
+        f = _random_bipoly(rng, field, 3, 5)
+        assert f.divmod_y(BiPoly.one(field)) == (f, BiPoly.zero(field))
 
 
 def test_divmod_requires_monic(gf2):
@@ -140,7 +147,8 @@ def _sylvester_resultant(fc, gc, field):
 def _lifted_values(P, E, e):
     """The Y-coefficients of P, lifted to E by e, as values at each x of E."""
     cols = P.lift(E, e).y_coeffs()
-    return [[c.eval_rep(x) for c in cols] for x in range(E.order)]
+    return [[UniPoly(E, c).eval_rep(x) for c in cols]
+            for x in range(E.order)]
 
 
 # (field, field to check in, [(deg_X f, deg_Y f, deg_X g, deg_Y g)]): small
@@ -391,6 +399,45 @@ def test_divmod_against_schoolbook(field, monkeypatch):
                 assert b.divmod(a) == (UniPoly.zero(field), b)
 
 
+# (divisor length, longest row length): one-row quotient length times the
+# divisor length below and at or above _NEWTON_CUTOFF, a constant divisor
+_ROWS_SHAPES = [(5, 40), (1, 30), (33, 70), (60, 80), (7, 300), (300, 320)]
+
+
+@pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5),
+                                   FiniteField(101), FiniteField(2, 2),
+                                   FiniteField(3, 2)], ids=repr)
+def test_divmod_rows_against_schoolbook(field, monkeypatch):
+    """Each (q, r) of one multi-row `_divmod_rows` call equals long
+    division of its row, for empty rows, rows shorter than b and rows of
+    mixed length; over GF(p) from _NEWTON_CUTOFF on, each call builds
+    exactly one series inverse, and otherwise none."""
+    inverses = []
+    ser_inv = polynomials._ser_inv
+
+    def counted(a, f, prec):
+        inverses.append(prec)
+        return ser_inv(a, f, prec)
+
+    monkeypatch.setattr(polynomials, "_ser_inv", counted)
+    assert {(top - lb + 1) * lb >= _NEWTON_CUTOFF
+            for lb, top in _ROWS_SHAPES} == {True, False}
+    rng = random.Random(f"divmod-rows:{field!r}")
+    for lb, top in _ROWS_SHAPES:
+        b = list(_random_unipoly(rng, field, lb).coeffs)
+        lengths = [0, top, max(lb - 1, 0), 1, lb, rng.randint(1, top), top]
+        rows = [list(_random_unipoly(rng, field, k).coeffs) if k else []
+                for k in lengths]
+        inverses.clear()
+        out = polynomials._divmod_rows(rows, b, field)
+        assert len(out) == len(rows)
+        for c, (q, r) in zip(rows, out):
+            eq, er = _schoolbook_divmod(c, b, field)
+            assert (q, r) == (eq, list(UniPoly(field, er).coeffs))
+        newton = field.k == 1 and (top - lb + 1) * lb >= _NEWTON_CUTOFF
+        assert inverses == ([top - lb + 1] if newton else [])
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_exact_div_raises_above_cutoff(p):
     field = FiniteField(p)
@@ -451,18 +498,16 @@ def test_ser_inv_times_unit_is_one(field):
 @pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5),
                                    FiniteField(2, 2)], ids=repr)
 def test_prem_by_monic_divisor_is_the_remainder(field):
+    """The remainder of `divmod_y`, taken by `_prem`, equals the
+    per-coefficient pseudo-remainder loop for divisors monic in Y."""
     rng = random.Random(f"prem:{field!r}")
     for _ in range(30):
         f = _random_bipoly(rng, field, 4, rng.randint(0, 7))
         dy = rng.randint(1, 4)
         low = _random_bipoly(rng, field, 3, dy - 1)
         g = BiPoly.monomial(field, 0, dy) + low
-        assert polynomials._prem(_rows(f), _rows(g), field) == \
-            _rows(f.divmod_y(g)[1])
-
-
-def _rows(P):
-    return [list(c.coeffs) for c in P.y_coeffs()]
+        assert f.divmod_y(g)[1].y_coeffs() == \
+            _prem_per_coefficient(f.y_coeffs(), g.y_coeffs(), field)
 
 
 def _prem_per_coefficient(f, g, field):
@@ -528,7 +573,7 @@ def test_prem_against_per_coefficient_loop(monkeypatch):
             for top in ([1], None):
                 f = _random_rows(rng, field, dyf, dx, None)
                 g = _random_rows(rng, field, dyg, dx, top)
-                assert polynomials._prem(f, g, field) == \
+                assert polynomials._prem(f, g, field)[1] == \
                     _prem_per_coefficient(f, g, field)
     assert widths == {1, 2, 4, 8}
     assert set(products) == {True, False}
