@@ -93,9 +93,7 @@ def _pure_power_root(coeffs, mu, field):
     Characteristic-aware: with mu = p^a * m' (p not dividing m'), the
     coefficient of w^(mu - p^a) pins lam^(p^a), and the Frobenius is
     inverted by x -> x^(q/p)."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
+    cs = UniPoly(field, coeffs).coeffs
     if len(cs) - 1 != mu:
         return None
     p, q = field.p, field.order
@@ -114,7 +112,7 @@ def _pure_power_root(coeffs, mu, field):
         lam = field.pow_rep(lam, q // p)
     # verify exactly
     check = (UniPoly(field, (field.neg(lam), 1)) ** mu).scale(c_top)
-    return lam if check.coeffs == tuple(cs) else None
+    return lam if check.coeffs == cs else None
 
 
 @dataclass(frozen=True)
@@ -243,8 +241,8 @@ class BranchParam:
         if self._mode == "u_of_v":
             G = G.swap_xy()
         # the Y-coefficients of G are polynomials in t, i.e. series in t
-        rows = G.y_coeffs()
-        drows = G.derivative_y().y_coeffs()
+        rows = G.rows
+        drows = G.derivative_y().rows
         minus_one = [field.neg(1)]
         s = []
         cur = 1
@@ -317,15 +315,15 @@ class BranchParam:
         d = int(g.total_degree)
         prec = self.precision
         acc = []
-        for (i, j), c in g.terms.items():
-            zexp = d - i - j
-            aexp = j if self.chart == "x" else i
-            term = self._power(self._pow_a, self._a, aexp)
-            if zexp:
-                term = _list_mul(term,
-                                 self._power(self._pow_b, self.v, zexp),
-                                 field, prec)
-            acc = _list_mul(term, [c], field, prec, acc)
+        for j, row in enumerate(g.rows):
+            for i, c in enumerate(row):
+                if c:
+                    term = self._power(self._pow_a, self._a,
+                                       j if self.chart == "x" else i)
+                    if d - i - j:
+                        term = _list_mul(term, self._power(
+                            self._pow_b, self.v, d - i - j), field, prec)
+                    acc = _list_mul(term, [c], field, prec, acc)
         return acc, d
 
     def valuation_poly(self, g):

@@ -74,7 +74,7 @@ def _values(fn, indexed_points, ext, embed):
     any other den is evaluated, and a pole at point #idx is a precondition
     failure."""
     num, den = fn.num.lift(ext, embed), fn.den.lift(ext, embed)
-    c = den.terms.get((0, 0)) if len(den.terms) == 1 else None
+    c = den.rows[0][0] if den.total_degree == 0 else None
     if c:
         num = num.scale(ext.inv(c))
         for _, (x, y) in indexed_points:

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InputError, InconsistencyError, PreconditionError
-from .polynomials import DEGREE_LIMIT, NEG_INF, BiPoly, resultant_y
+from .fields import LOG_TABLE_LIMIT, power
+from .polynomials import DEGREE_LIMIT, NEG_INF, TABLELESS_DEGREE_LIMIT, \
+    BiPoly, resultant_y, _list_mul, _rows_mul
 from .semigroups import TelescopicStructure
 
 
@@ -40,7 +42,7 @@ def _monic_scaled(F):
     nonzero constant, else None."""
     if F.is_zero() or F.deg_y < 1:
         return None
-    lc = F.y_coeffs()[-1]
+    lc = F.rows[-1]
     if len(lc) != 1:
         return None
     if lc == [1]:
@@ -113,9 +115,12 @@ def normalize_degree(F):
         if m % p == 0:
             raise PreconditionError(
                 "substitution failed to remove the characteristic from deg_Y")
-    if m > DEGREE_LIMIT:
+    tableless = fld.k > 1 and fld.order > LOG_TABLE_LIMIT
+    limit = TABLELESS_DEGREE_LIMIT if tableless else DEGREE_LIMIT
+    if m > limit:
+        where = " of fields without log tables" if tableless else ""
         raise InputError(f"normalized model has deg_Y = {m}, above the "
-                         f"degree limit {DEGREE_LIMIT}")
+                         f"degree limit {limit}{where}")
     return PlaneModel(equation=G, m=m, n=n, e_p=m - n, swapped=swapped,
                       subst_k=subst_k, shear=shear, original=original)
 
@@ -124,9 +129,11 @@ def approximate_root(F, d):
     """The unique monic G with deg_Y G = deg_Y F / d and
     deg_Y (F - G^d) < deg_Y F - deg_Y G.
 
-    Built by descending-coefficient elimination: the top coefficient of
-    F - G^d at level Y^(m-j) is linear in the j-th coefficient of G with
-    slope d, so each pass pins one coefficient exactly.
+    Built by descending-coefficient elimination on the reversed rows g_j
+    (the coefficient of Y^(e-j) in G): the coefficient of Y^(m-j) in G^d is
+    d*g_j plus a part in g_0..g_(j-1) alone, so step j reads row m - j of F
+    and the top j + 1 rows of G^d, a power of g_0..g_(j-1) whose every
+    product is cut to those rows.  One full G^d checks the result.
     """
     fld = F.field
     if not F.is_monic_in_y():
@@ -139,15 +146,13 @@ def approximate_root(F, d):
             f"d = {d} is not a unit: the characteristic {fld.p} divides it")
     e = m // d
     inv_d = fld.inv(fld.from_int(d))
-    G = BiPoly.monomial(fld, 0, e)
+    rev = [[1]]
     for j in range(1, e + 1):
-        diff = F - G ** d
-        add_terms = {}
-        for (i, jj), c in diff.terms.items():
-            if jj == m - j:
-                add_terms[(i, e - j)] = fld.mul(c, inv_d)
-        if add_terms:
-            G = G + BiPoly(fld, add_terms)
+        top = power(rev, d, lambda a, b: _rows_mul(a, b, fld, j + 1), [[1]])
+        rev.append(_list_mul(top[j] if j < len(top) else [],
+                             (fld.neg(inv_d),), fld, None,
+                             _list_mul(F.rows[m - j], (inv_d,), fld)))
+    G = BiPoly.from_y_coeffs(fld, rev[::-1])
     check = F - G ** d
     if not (check.is_zero() or check.deg_y < m - e):
         raise InconsistencyError("approximate-root elimination failed")
@@ -170,7 +175,7 @@ def am_sequence(model):
     """Run the approximate-root iteration on a normalized model."""
     F = model.equation
     fld = model.field
-    if all(j >= 1 for (_, j) in F.terms):
+    if not F.rows[0]:
         raise PreconditionError("Y divides the curve equation")
     m = model.m
     if m % fld.p == 0:

@@ -1,28 +1,30 @@
-"""Dense univariate and sparse bivariate polynomials over a finite field.
+"""Dense univariate polynomials, and bivariate ones stored as their rows.
 
-Coefficients are stored as integer field reps.  Two single kernels carry
-the polynomial arithmetic: `_list_mul` is the one coefficient-list
-multiply-add c + a*b, optionally truncated (every UniPoly sum, difference,
-negation, scaling and product, hence the Rabin test in `fields`; the
-series products and sums of products in `branch`; the Newton series
-inverse `_ser_inv` and its step; every division below; the row
-operations and codeword sums in `codes`); over GF(p) it packs long
-operands and c into big integers (`_kronecker_mul`), and over GF(p^k)
-with log tables it multiplies over the logs of the nonzero coefficients,
-taken once per operand.  Kernels call the field's bound `add` and `mul`,
-whose kind of arithmetic is chosen once per field, in `fields`, never here.
-There is one division per ring, on rep lists (`BiPoly.y_coeffs` gives the
-Y-coefficients as such).  `_divmod_rows` is the one X-division of rows by
-one X-polynomial, by a shared Newton inverse over GF(p) from
-`_NEWTON_CUTOFF` on and by the schoolbook loop otherwise: `UniPoly.divmod`
-and every exact division are one call of it.  `_prem` is the one
-Y-division, the pseudo-remainder, and is `BiPoly.divmod_y` for a divisor
-monic in Y.
+Coefficients are stored as integer field reps; a `BiPoly` holds only its
+Y-coefficient rows, the form every kernel below takes and returns.  Two
+single kernels carry the polynomial arithmetic: `_list_mul` is the one
+coefficient-list multiply-add c + a*b, optionally truncated (every sum,
+difference, negation and scaling, row by row for BiPoly; the UniPoly
+product, hence the Rabin test in `fields`; the series products and sums of
+products in `branch`; the Newton series inverse `_ser_inv` and its step;
+every division below; the row operations and codeword sums in `codes`);
+over GF(p) it packs long operands and c into big integers
+(`_kronecker_mul`), and over GF(p^k) with log tables it multiplies over the
+logs of the nonzero coefficients, taken once per operand.  `_rows_mul`,
+the BiPoly product, is one `_list_mul` of the rows laid end to end, cut to
+n rows when asked (`curves.approximate_root`).  Kernels call the field's
+bound `add` and `mul`, whose kind of arithmetic `fields` picks once per field.
+There is one division per ring, on rows.  `_divmod_rows` is the one
+X-division of rows by one X-polynomial, by a shared Newton inverse over
+GF(p) from `_NEWTON_CUTOFF` on and by the schoolbook loop otherwise:
+`UniPoly.divmod` and every exact division are one call of it.  `_prem` is
+the one Y-division, the pseudo-remainder, and is `BiPoly.divmod_y` for a
+divisor monic in Y.
 `BiPoly.substitute_binomial` is the one linear change of variables
 (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
 value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
 the field has tables); a bivariate polynomial is first specialized at X
-(`BiPoly.specialize_x`).
+(`BiPoly.specialize_x`, the same Horner on each row).
 Every repr is one call to the one writer `fields.write_sum`, with
 coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
@@ -37,6 +39,7 @@ import math
 import operator
 import sys
 from array import array
+from itertools import zip_longest
 
 from .errors import InconsistencyError
 from .fields import FieldElement, power, write_sum
@@ -49,6 +52,13 @@ NEG_INF = float("-inf")
 # 10 and m = 845 (2-vCPU Xeon, Python 3.11): every model of deg_Y <= 850
 # took at most 3.7 s, the slowest Y^845+X^7 over GF(5) (deg_Y 847).
 DEGREE_LIMIT = 850
+# The deg_Y cap over GF(p^k), k > 1, of order above fields.LOG_TABLE_LIMIT,
+# where each coefficient product is a schoolbook product of base-p digits.
+# Measured on `curve analyze` of Y^m+X^7 over GF(2^17) and GF(3^11), m a
+# multiple of p (same machine): the slowest models under it, deg_Y 105 over
+# GF(2^17) and 112 over GF(3^11), took 1.9 s (2.5 s with a second job
+# running); deg_Y 119 over GF(2^17) took 6.8 s and 301 (Y^300+X^7) 185 s.
+TABLELESS_DEGREE_LIMIT = 112
 
 _KRONECKER_CUTOFF = 64
 # Quotient length * divisor length from which `_divmod_rows` over GF(p)
@@ -102,11 +112,11 @@ def _pack(a, tc):
 
 
 def _trim(row):
-    """row without its trailing zeros, in place; an all-zero row, such as
-    the remainder of an exact division, is cleared in one C-level scan."""
+    """row without its trailing zeros (rows: without empty top rows), in
+    place; an all-zero row is cleared in one C-level scan."""
     if not any(row):
         row.clear()
-    while row and row[-1] == 0:
+    while row and not row[-1]:
         row.pop()
     return row
 
@@ -171,27 +181,14 @@ def _ser_inv(a, field, prec):
     return g[:prec]
 
 
-def _accumulate(out, key, value, field):
-    """out[key] += value in a sparse term dict, dropping a key whose sum
-    vanishes."""
-    s = field.add(out.get(key, 0), value)
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
 class UniPoly:
     """Dense univariate polynomial; zero polynomial has degree -inf."""
 
     __slots__ = ("field", "coeffs", "var")
 
     def __init__(self, field, coeffs=(), var="X"):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(list(coeffs)))
         self.var = var
 
     @classmethod
@@ -298,13 +295,28 @@ class UniPoly:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial: {(deg_X, deg_Y): coefficient rep}."""
+    """Polynomial in Y over GF(q)[X]: rows[j] is the rep list of the
+    coefficient of Y^j, without trailing zeros, the top row nonempty.  Built
+    from a {(deg_X, deg_Y): rep} dict, zero reps dropped, or from rows."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field, terms=None):
         self.field = field
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.rows = rows = []
+        for (i, j), c in (terms or {}).items():
+            if c:
+                rows += [[] for _ in range(j + 1 - len(rows))]
+                row = rows[j]
+                row += [0] * (i + 1 - len(row))
+                row[i] = c
+
+    @classmethod
+    def from_y_coeffs(cls, field, rows):
+        """The polynomial whose Y-coefficients are the rep lists `rows`."""
+        P = cls.__new__(cls)
+        P.field, P.rows = field, _trim([_trim(list(row)) for row in rows])
+        return P
 
     @classmethod
     def zero(cls, field):
@@ -329,90 +341,75 @@ class BiPoly:
         return cls(field, {(i, j): coeff})
 
     def is_zero(self):
-        return not self.terms
+        return not self.rows
+
+    @property
+    def terms(self):
+        """The nonzero terms as a {(deg_X, deg_Y): rep} dict, built anew."""
+        return {(i, j): c for j, row in enumerate(self.rows)
+                for i, c in enumerate(row) if c}
 
     @property
     def deg_x(self):
-        return max((i for i, _ in self.terms), default=NEG_INF)
+        return max(map(len, self.rows)) - 1 if self.rows else NEG_INF
 
     @property
     def deg_y(self):
-        return max((j for _, j in self.terms), default=NEG_INF)
+        return len(self.rows) - 1 if self.rows else NEG_INF
 
     @property
     def total_degree(self):
-        return max((i + j for i, j in self.terms), default=NEG_INF)
+        return max((len(row) - 1 + j for j, row in enumerate(self.rows)
+                    if row), default=NEG_INF)
 
     def coeff(self, i, j):
-        return self.terms.get((i, j), 0)
+        row = self.rows[j] if j < len(self.rows) else ()
+        return row[i] if i < len(row) else 0
 
     def __add__(self, other):
         f = self.field
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(out, k, v, f)
-        return BiPoly(f, out)
+        return BiPoly.from_y_coeffs(
+            f, [_list_mul(b, (1,), f, None, a) if b else a
+                for a, b in zip_longest(self.rows, other.rows, fillvalue=[])])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.field
-        return BiPoly(f, {k: f.neg(v) for k, v in self.terms.items()})
+        return self.scale(self.field.neg(1))
 
     def __mul__(self, other):
         f = self.field
-        out = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                _accumulate(out, (i1 + i2, j1 + j2), f.mul(a, b), f)
-        return BiPoly(f, out)
+        return BiPoly.from_y_coeffs(f, _rows_mul(self.rows, other.rows, f))
 
     def scale(self, rep):
         f = self.field
         if isinstance(rep, FieldElement):
             rep = rep.rep
-        if rep == 0:
-            return BiPoly.zero(f)
-        return BiPoly(f, {k: f.mul(v, rep) for k, v in self.terms.items()})
+        return BiPoly.from_y_coeffs(f, [_list_mul(row, (rep,), f)
+                                        for row in self.rows])
 
     def __pow__(self, e):
         return power(self, e, operator.mul, BiPoly.one(self.field))
 
     # -- views ----------------------------------------------------------
 
-    def y_coeffs(self):
-        """Coefficients as a polynomial in Y over GF(q)[X], ascending, each
-        a rep list without trailing zeros."""
-        if self.is_zero():
-            return []
-        out = [[] for _ in range(self.deg_y + 1)]
-        for (i, j), c in self.terms.items():
-            row = out[j]
-            row += [0] * (i + 1 - len(row))
-            row[i] = c
-        return out
-
-    @classmethod
-    def from_y_coeffs(cls, field, rows):
-        """The polynomial whose Y-coefficients are the rep lists `rows`."""
-        return cls(field, {(i, j): c for j, row in enumerate(rows)
-                           for i, c in enumerate(row)})
-
     def is_monic_in_y(self):
-        return self.y_coeffs()[-1:] == [[1]]
+        return self.rows[-1:] == [[1]]
 
     def swap_xy(self):
-        return BiPoly(self.field, {(j, i): c for (i, j), c in self.terms.items()})
+        return BiPoly.from_y_coeffs(
+            self.field, zip_longest(*self.rows, fillvalue=0))
 
     def form_coeffs(self, d):
         """The degree-d form as [coeff of X^(d-j)*Y^j for j in 0..d]."""
-        return [self.terms.get((d - j, j), 0) for j in range(d + 1)]
+        return [self.coeff(d - j, j) for j in range(d + 1)]
 
     def lift(self, field, embed):
         """The same polynomial over `field`, coefficients mapped by the
         embedding `embed` (rep -> rep) once."""
-        return BiPoly(field, {k: embed(c) for k, c in self.terms.items()})
+        return BiPoly.from_y_coeffs(field, [[embed(c) if c else 0 for c in row]
+                                            for row in self.rows])
 
     # -- operations -----------------------------------------------------
 
@@ -420,11 +417,10 @@ class BiPoly:
         """Long division by a divisor that is monic in Y: the Y-division
         `_prem`, whose remainder is f mod g and whose step rows are the
         quotient for such a divisor."""
-        g = other.y_coeffs()
-        if g[-1:] != [[1]]:
+        if not other.is_monic_in_y():
             raise ValueError("divmod_y requires a divisor monic in Y")
         f = self.field
-        q, r = _prem(self.y_coeffs(), g, f)
+        q, r = _prem(self.rows, other.rows, f)
         return BiPoly.from_y_coeffs(f, q), BiPoly.from_y_coeffs(f, r)
 
     def substitute_binomial(self, lam, exponent, key):
@@ -439,7 +435,8 @@ class BiPoly:
                 binom = math.comb(n, r) % f.p
                 if binom:
                     coeff = f.mul(c, f.mul(binom, f.pow_rep(lam, n - r)))
-                    _accumulate(out, key(i, j, r), coeff, f)
+                    k = key(i, j, r)
+                    out[k] = f.add(out.get(k, 0), coeff)
         return BiPoly(f, out)
 
     def substitute_x(self, k, sign=1):
@@ -458,33 +455,33 @@ class BiPoly:
             lam, lambda i, j: j, lambda i, j, r: (i + j - r, r))
 
     def derivative_x(self):
-        f = self.field
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i:
-                v = f.mul(f.from_int(i), c)
-                if v:
-                    out[(i - 1, j)] = v
-        return BiPoly(f, out)
+        return self.swap_xy().derivative_y().swap_xy()
 
     def derivative_y(self):
         f = self.field
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j:
-                v = f.mul(f.from_int(j), c)
-                if v:
-                    out[(i, j - 1)] = v
-        return BiPoly(f, out)
+        return BiPoly.from_y_coeffs(f, [_list_mul(row, (f.from_int(j),), f)
+                                        for j, row in enumerate(self.rows)
+                                        if j])
 
     def specialize_x(self, x):
-        """P(x, Y) as a polynomial in Y, for a field rep x."""
+        """P(x, Y) as a UniPoly in Y: the `UniPoly.eval_rep` Horner per row."""
         f = self.field
+        log, add = f._log, f.add
         out = []
-        for (i, j), c in self.terms.items():
-            if j >= len(out):
-                out += [0] * (j + 1 - len(out))
-            out[j] = f.add(out[j], f.mul(c, f.pow_rep(x, i)))
+        if log is not None and x:
+            exp, lx = f._exp, log[x]
+            for row in self.rows:
+                acc = 0
+                for c in reversed(row):
+                    acc = add(exp[log[acc] + lx], c) if acc else c
+                out.append(acc)
+        else:
+            mul = f.mul
+            for row in self.rows:
+                acc = 0
+                for c in reversed(row):
+                    acc = add(mul(acc, x), c)
+                out.append(acc)
         return UniPoly(f, out, "Y")
 
     def eval_rep(self, x, y):
@@ -493,16 +490,28 @@ class BiPoly:
 
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and self.field == other.field
-                and self.terms == other.terms)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.field.p, self.field.k))
+        return hash((tuple(map(tuple, self.rows)), self.field.p, self.field.k))
 
     def __repr__(self):
         f = self.field
-        keys = sorted(self.terms, key=lambda k: (-k[1], -k[0]))
-        return write_sum([(k, f.format_coeff(self.terms[k])) for k in keys],
+        return write_sum([((i, j), f.format_coeff(c))
+                          for j, row in reversed(list(enumerate(self.rows)))
+                          for i, c in reversed(list(enumerate(row))) if c],
                          ("X", "Y"))
+
+
+def _rows_mul(a, b, field, n=None):
+    """The rows of a*b, or its first n rows: one `_list_mul` of a and b laid
+    end to end at a stride that holds any product of two rows."""
+    if not a or not b:
+        return []
+    stride = max(map(len, a)) + max(map(len, b)) - 1
+    flat = _list_mul(_lay(a, stride), _lay(b, stride), field,
+                     None if n is None else n * stride)
+    return [_trim(flat[i:i + stride]) for i in range(0, len(flat), stride)]
 
 
 # -- Y-resultant via subresultant PRS over GF(q)[X] -----------------------
@@ -542,10 +551,8 @@ def _prem(f, g, field):
         flat += [0] * (cut - len(flat))
         flat[cut:] = _list_mul(lcr, _lay(g[:dg], stride), field, None,
                                flat[cut:])
-        r = r[:keep] + [_trim(flat[i * stride:(i + 1) * stride])
-                        for i in range(dr - keep)]
-        while r and not r[-1]:
-            r.pop()
+        r = _trim(r[:keep] + [_trim(flat[i * stride:(i + 1) * stride])
+                              for i in range(dr - keep)])
         n -= 1
     if n and not monic:
         scale = (UniPoly(field, lcg) ** n).coeffs
@@ -616,7 +623,7 @@ def resultant_y(f, g):
     field = f.field
     if f.is_zero() or g.is_zero():
         return UniPoly.zero(field)
-    fl, gl = f.y_coeffs(), g.y_coeffs()
+    fl, gl = f.rows, g.rows
     n, m = len(fl) - 1, len(gl) - 1
     negate = False
     if n < m:

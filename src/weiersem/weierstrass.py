@@ -25,7 +25,7 @@ from .semigroups import NumericalSemigroup, TelescopicStructure
 def _x_content(P):
     """gcd over GF(q)[X] of the Y-coefficients of P."""
     g = UniPoly.zero(P.field)
-    for c in P.y_coeffs():
+    for c in P.rows:
         g = g.gcd(UniPoly(P.field, c))
         if g.degree == 0:
             break
@@ -39,7 +39,7 @@ def _strip_common_content(num, den):
     if g.degree >= 1:
         f = num.field
         num, den = (BiPoly.from_y_coeffs(f, _exact_quotients(
-            P.y_coeffs(), g.coeffs, f)) for P in (num, den))
+            P.rows, g.coeffs, f)) for P in (num, den))
     return num, den
 
 

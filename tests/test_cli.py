@@ -10,7 +10,7 @@ import pytest
 
 from weiersem import NumericalSemigroup
 from weiersem.cli import RANGE_LIMIT, SCAN_LIMIT, run
-from weiersem.polynomials import DEGREE_LIMIT
+from weiersem.polynomials import DEGREE_LIMIT, TABLELESS_DEGREE_LIMIT
 
 from conftest import GOLDEN_BASIS_LINES, random_semigroup_gens
 
@@ -310,6 +310,20 @@ def test_degree_limit_exit_1(field, curve, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"degree limit {DEGREE_LIMIT}" in err
+
+
+def test_tableless_degree_limit_exit_1(capsys):
+    """GF(2^17) has no log tables, and X -> X + Y^43 gives Y^300+X^7 a
+    model of deg_Y 301, whose analysis took minutes: an input error."""
+    start = time.perf_counter()
+    code, text = _run(["curve", "analyze", "--field", "GF(2^17)",
+                       "--curve", "Y^300+X^7"])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert (f"deg_Y = 301, above the degree limit {TABLELESS_DEGREE_LIMIT} "
+            f"of fields without log tables") in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from weiersem import (AMSequence, BiPoly, HypothesisError, InputError,
                       TelescopicStructure, am_sequence, approximate_root,
                       normalize_degree, one_branch_criterion, parse_field,
                       parse_poly, semigroup_at_infinity)
-from weiersem.polynomials import DEGREE_LIMIT
+from weiersem.polynomials import DEGREE_LIMIT, TABLELESS_DEGREE_LIMIT
 from weiersem.semigroups import format_gens
 
 from conftest import random_semigroup_gens, random_telescopic, scaled_member
@@ -74,6 +74,23 @@ def test_normalized_degree_limit():
     with pytest.raises(InputError, match=f"deg_Y = 1533, above the degree "
                                          f"limit {DEGREE_LIMIT}$"):
         normalize_degree(parse_poly("Y^2+X^511", parse_field("GF(2)")))
+
+
+def test_tableless_degree_limit():
+    """Over GF(2^17), which has no log tables, deg_Y is capped at
+    TABLELESS_DEGREE_LIMIT; GF(2^2), with tables, and GF(2) keep
+    DEGREE_LIMIT.  The degrees are odd, so no substitution runs."""
+    L = TABLELESS_DEGREE_LIMIT
+    top = L if L % 2 else L - 1
+    big = parse_field("GF(2^17)")
+    assert normalize_degree(parse_poly(f"Y^{top}+X", big)).m == top
+    with pytest.raises(InputError, match=f"deg_Y = {top + 2}, above the "
+                       f"degree limit {L} of fields without log tables$"):
+        normalize_degree(parse_poly(f"Y^{top + 2}+X", big))
+    for field in ("GF(2^2)", "GF(2)"):
+        model = normalize_degree(parse_poly(f"Y^{top + 2}+X",
+                                            parse_field(field)))
+        assert model.m == top + 2
 
 
 def test_substitution_avoids_tilted_position():

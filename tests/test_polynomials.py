@@ -4,8 +4,10 @@ from itertools import zip_longest
 import pytest
 
 from weiersem import (BiPoly, FiniteField, InconsistencyError, NEG_INF,
-                      UniPoly, parse_poly, resultant_y)
+                      UniPoly, am_sequence, approximate_root,
+                      normalize_degree, parse_field, parse_poly, resultant_y)
 from weiersem import polynomials
+from weiersem.fields import power
 from weiersem.polynomials import (_KRONECKER_CUTOFF, _NEWTON_CUTOFF,
                                   _kronecker_mul, _list_mul)
 
@@ -146,7 +148,7 @@ def _sylvester_resultant(fc, gc, field):
 
 def _lifted_values(P, E, e):
     """The Y-coefficients of P, lifted to E by e, as values at each x of E."""
-    cols = P.lift(E, e).y_coeffs()
+    cols = P.lift(E, e).rows
     return [[UniPoly(E, c).eval_rep(x) for c in cols]
             for x in range(E.order)]
 
@@ -506,8 +508,8 @@ def test_prem_by_monic_divisor_is_the_remainder(field):
         dy = rng.randint(1, 4)
         low = _random_bipoly(rng, field, 3, dy - 1)
         g = BiPoly.monomial(field, 0, dy) + low
-        assert f.divmod_y(g)[1].y_coeffs() == \
-            _prem_per_coefficient(f.y_coeffs(), g.y_coeffs(), field)
+        assert f.divmod_y(g)[1].rows == \
+            _prem_per_coefficient(f.rows, g.rows, field)
 
 
 def _prem_per_coefficient(f, g, field):
@@ -656,3 +658,190 @@ def test_kronecker_mul_against_double_loop(p, la, lb, kind):
     full = _naive_product(a, b, field)
     for n_out in (1, len(full) // 2, len(full)):
         assert _kronecker_mul(a, b, p, n_out) == full[:n_out]
+
+
+def _accumulate(out, key, value, field):
+    """out[key] += value in a term dict, dropping a key whose sum vanishes."""
+    s = field.add(out.get(key, 0), value)
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _dict_sum(a, b, field):
+    """The sum of two {(i, j): rep} term dicts: the oracle for BiPoly +."""
+    out = dict(a)
+    for k, v in b.items():
+        _accumulate(out, k, v, field)
+    return out
+
+
+def _dict_product(a, b, field):
+    """The product of two term dicts, one term pair at a time: the oracle
+    for the row product `_rows_mul`."""
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            _accumulate(out, (i1 + i2, j1 + j2), field.mul(x, y), field)
+    return out
+
+
+def _dict_power(a, e, field):
+    out = {(0, 0): 1}
+    for _ in range(e):
+        out = _dict_product(out, a, field)
+    return out
+
+
+def _assert_row_invariant(P):
+    """No row ends in a zero, and the top row is nonempty."""
+    assert all(row[-1] for row in P.rows if row)
+    assert not P.rows or P.rows[-1]
+
+
+def _sparse_in_y(rng, field):
+    """Y^m + c*X^7 plus a few random terms, m >= 100: the shape of the
+    normalized Y^m+X^7 models."""
+    m = rng.randint(100, 130)
+    terms = {(0, m): 1, (7, 0): rng.randrange(1, field.order)}
+    for _ in range(4):
+        terms[(rng.randint(0, 3), rng.randint(0, m))] = \
+            rng.randrange(field.order)
+    return BiPoly(field, terms)
+
+
+# GF(2^17) has no log tables: its products take the schoolbook loop
+_ROW_FIELDS = [FiniteField(2), FiniteField(5), FiniteField(101),
+               FiniteField(2, 2), FiniteField(3, 2), FiniteField(2, 17)]
+
+
+@pytest.mark.parametrize("field", _ROW_FIELDS, ids=repr)
+def test_row_arithmetic_against_term_dicts(field, monkeypatch):
+    """+, -, *, scale, **, both derivatives, swap_xy and lift on rows equal
+    the term-dict sum and product, on dense operands, on operands sparse
+    in Y of deg_Y >= 100 and on zero; every result keeps the row
+    invariant.  Over GF(p) the laid products fall on both sides of
+    _KRONECKER_CUTOFF."""
+    f = field
+    rng = random.Random(f"rows:{field!r}")
+    assert BiPoly.from_y_coeffs(f, [[1, 0], []]) == BiPoly.one(f)
+    assert BiPoly.from_y_coeffs(f, [[1, 0], []]).rows == [[1]]
+    operands = [BiPoly.zero(f), BiPoly.one(f)]
+    operands += [_random_bipoly(rng, f, rng.randint(0, 4), rng.randint(0, 4),
+                                density=rng.choice([0.3, 0.7]))
+                 for _ in range(5)]
+    operands += [_sparse_in_y(rng, f) for _ in range(2)]
+    sizes = []
+    list_mul = polynomials._list_mul
+
+    def sized(a, b, fld, trunc=None, c=()):
+        sizes.append(len(a) * len(b) >= _KRONECKER_CUTOFF)
+        return list_mul(a, b, fld, trunc, c)
+
+    def check(P, terms):
+        _assert_row_invariant(P)
+        assert P.terms == terms
+        assert P == BiPoly(P.field, terms)
+
+    for A in operands:
+        a = A.terms
+        for B in operands:
+            b = B.terms
+            check(A + B, _dict_sum(a, b, f))
+            check(A - B, _dict_sum(a, {k: f.neg(v) for k, v in b.items()}, f))
+            monkeypatch.setattr(polynomials, "_list_mul", sized)
+            AB = A * B
+            monkeypatch.setattr(polynomials, "_list_mul", list_mul)
+            check(AB, _dict_product(a, b, f))
+        for c in (0, 1, f.neg(1), rng.randrange(1, f.order)):
+            check(A.scale(c), {k: f.mul(v, c) for k, v in a.items() if c})
+        for e in ((0, 1, 2) if A.deg_y > 50 else (0, 1, 2, 3)):
+            check(A ** e, _dict_power(a, e, f))
+        check(A.derivative_x(), _dict_sum({}, {
+            (i - 1, j): f.mul(f.from_int(i), v)
+            for (i, j), v in a.items() if i}, f))
+        check(A.derivative_y(), _dict_sum({}, {
+            (i, j - 1): f.mul(f.from_int(j), v)
+            for (i, j), v in a.items() if j}, f))
+        check(A.swap_xy(), {(j, i): v for (i, j), v in a.items()})
+    if f.k == 1:
+        assert set(sizes) == {True, False}
+    # lift from GF(p) into GF(p^k), or from GF(p) into GF(p^2)
+    B, E = (FiniteField(f.p), f) if f.k > 1 else (f, FiniteField(f.p, 2))
+    e = B.embedding_into(E)
+    for P in [BiPoly.zero(B), _random_bipoly(rng, B, 3, 3),
+              _sparse_in_y(rng, B)]:
+        L = P.lift(E, e)
+        _assert_row_invariant(L)
+        assert L.field == E
+        assert L.terms == {k: e(v) for k, v in P.terms.items()}
+
+
+def _approximate_root_by_full_powers(F, d):
+    """Descending-coefficient elimination on term dicts, each step reading
+    the Y^(m-j) coefficient of the whole F - G^d: the oracle for the
+    row-truncated `approximate_root`."""
+    f = F.field
+    m = F.deg_y
+    e = m // d
+    inv_d = f.inv(f.from_int(d))
+    G = {(0, e): 1}
+    for j in range(1, e + 1):
+        Gd = power(G, d, lambda a, b: _dict_product(a, b, f), {(0, 0): 1})
+        diff = _dict_sum(F.terms, {k: f.neg(v) for k, v in Gd.items()}, f)
+        for (i, jj), c in diff.items():
+            if jj == m - j:
+                G[(i, e - j)] = f.mul(c, inv_d)
+    return G
+
+
+def _check_approximate_root(F, d, G):
+    """G equals the full-power oracle and deg_Y (F - G^d) < m - e, the
+    latter on term dicts."""
+    f = F.field
+    m = F.deg_y
+    assert G.terms == _approximate_root_by_full_powers(F, d)
+    Gd = power(G.terms, d, lambda a, b: _dict_product(a, b, f), {(0, 0): 1})
+    diff = _dict_sum(F.terms, {k: f.neg(v) for k, v in Gd.items()}, f)
+    assert max((j for _, j in diff), default=-1) < m - m // d
+
+
+# (field, d, e): d > p and e >= p among them, d never a multiple of p
+_ROOT_CASES = [(FiniteField(2), 3, 2), (FiniteField(2), 5, 3),
+               (FiniteField(3), 4, 3), (FiniteField(3), 2, 5),
+               (FiniteField(5), 6, 5), (FiniteField(5), 3, 2),
+               (FiniteField(2, 2), 3, 4), (FiniteField(3, 2), 4, 3)]
+
+
+@pytest.mark.parametrize("field, d, e", _ROOT_CASES,
+                         ids=lambda v: repr(v) if isinstance(v, FiniteField)
+                         else str(v))
+def test_approximate_root_against_full_powers(field, d, e):
+    """On seeded monic F of deg_Y d*e, dense and sparse in X, the rows
+    truncated to j + 1 at step j give the root of the full-power
+    elimination."""
+    rng = random.Random(f"approximate-root:{field!r}:{d}:{e}")
+    for density in (0.2, 0.6):
+        for _ in range(3):
+            F = BiPoly.monomial(field, 0, d * e) + \
+                _random_bipoly(rng, field, 3, d * e - 1, density)
+            _check_approximate_root(F, d, approximate_root(F, d))
+
+
+# the curves of the benchmark's `analyze` workload
+_ANALYZE_CURVES = [("GF(2)", f"Y^{m}+X^7") for m in (100, 150, 200, 250, 300)
+                   ] + [("GF(5)", "Y^200+X^7")]
+
+
+def test_am_sequence_roots_against_full_powers():
+    """Every approximate root that `am_sequence` returns for the analyze
+    curves equals the full-power elimination."""
+    checked = 0
+    for field, curve in _ANALYZE_CURVES:
+        model = normalize_degree(parse_poly(curve, parse_field(field)))
+        F = model.equation
+        for root in am_sequence(model).roots[2:]:
+            _check_approximate_root(F, F.deg_y // root.deg_y, root)
+            checked += 1
+    assert checked >= len(_ANALYZE_CURVES)
