@@ -44,12 +44,14 @@ SEMIGROUP_M_LIMIT = 2 * ORDER_LIMIT ** 2
 NU_WORK_LIMIT = 1 << 24
 FENGRAO_WORK_LIMIT = 1 << 21
 
-# Cap of the point scan of the `code` commands, q^2 * (deg_Y F + 1) for the
-# q^2 pairs (x, y) of GF(q) and Horner in Y at each.  Single runs on a 2-vCPU
-# Xeon, Python 3.11: 96-117 ns per unit in characteristic 2 (1.0 s for
-# Y^2+Y+X^3/GF(2^2) over GF(2^10), 1.1e7 units), 330 ns for odd p (1.6 s
-# for Y^3+Y+X^4/GF(3^2) over GF(3^6), 4.8e6 units).
-SCAN_LIMIT = 1 << 24
+# Cap of the point scan of the `code` commands, q^2 * (min(deg_X, deg_Y) + 1)
+# for the q^2 pairs of GF(q) and Horner in the variable of lower degree at
+# each.  Single runs on a 2-vCPU Xeon, Python 3.11: 110-125 ns per unit in
+# characteristic 2 (0.52 s for Y^2+Y+X^3/GF(2^2) over GF(2^10), 2^22 units),
+# 165-215 ns for odd p with Zech tables (0.56 s for Y^3+Y+X^4/GF(3^2) over
+# GF(3^6), 2.7e6 units) and 255 ns over GF(p) (0.79 s for Y^2+X^3+1/GF(1009),
+# 3.1e6 units; about 1.1 s at the cap).
+SCAN_LIMIT = 1 << 22
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,10 +327,11 @@ def _cmd_lbasis(args, out):
 
 def _points_for(args, report, model):
     field = model.field
-    work = field.p ** (2 * field.k * args.ext) * (model.equation.deg_y + 1)
+    F = model.equation
+    work = field.p ** (2 * field.k * args.ext) * (min(F.deg_x, F.deg_y) + 1)
     if work > SCAN_LIMIT:
-        raise InputError(f"code: point scan q^2*(deg_Y+1) = {work} exceeds "
-                         f"the limit 2^{SCAN_LIMIT.bit_length() - 1}")
+        raise InputError(f"code: point scan q^2*(min(deg_X,deg_Y)+1) = {work} "
+                         f"exceeds the limit 2^{SCAN_LIMIT.bit_length() - 1}")
     ext = FiniteField(field.p, field.k * args.ext)
     return ext, enumerate_points(model, ext,
                                  avoid=report.table.denominators())

@@ -2,13 +2,19 @@
 
 The code C(m) is represented by its parity-check (evaluation) matrix: one
 row per basis function of L(mP), evaluated at rational points enumerated
-over a chosen extension field.  Every polynomial is lifted into that field
-once and evaluated by specializing X, then Horner in Y: the point scan
-specializes F(x, Y) once per x, and a row evaluates num and den at each
-point.  The basis is ordered by pole order, so the rows of C(m) are a
-prefix of the rows of C(m') for every m <= m': one exact row-insertion
-elimination of the largest matrix gives the rank of every C(m) at once.
-Its row operations and the codeword sums of `min_distance_exact` are
+over a chosen extension field.  Three kernels carry it.  The point scan
+lifts F, its partials and the polynomials to avoid into that field once,
+swapped when deg_X F < deg_Y F, specializes the variable of higher degree
+once per value and runs Horner in the other at each candidate, then sorts
+the points by (x, y).  The rows are products: every basis function is
+base * h_e^l (`FunctionTable.factors`), so each distinct base and h_e is
+evaluated at the points once (`_values`), and every other row is the
+previous row of its base times the h_e row, entry by entry.  The basis is
+ordered by pole order, so the rows of C(m) are a prefix of the rows of
+C(m') for every m <= m': one forward elimination of the largest matrix,
+over logs where the field has tables, gives the rank of every C(m) at
+once.  Only `_nullspace` back-substitutes, for the exhaustive minimum
+distance; its rows and the codeword sums of `min_distance_exact` are
 `_list_mul` multiply-adds, so basis rows have no trailing zeros.
 Designed distances combine the Goppa bound with the Feng-Rao distance of
 the Weierstrass semigroup.
@@ -22,31 +28,63 @@ from .polynomials import _list_mul
 from .weierstrass import l_basis
 
 
-def _echelon(rows, field):
-    """Row-insertion Gauss-Jordan elimination of a matrix of field reps.
+def _forward_eliminate(rows, field):
+    """One forward elimination of a matrix of field reps, without
+    back-substitution.
 
-    Returns the reduced basis [(pivot column, row)] of the row space, with
-    a 1 at each pivot and 0 in every other basis row's pivot column, and
-    the rank of every prefix rows[:i+1].  A column past the end of a row,
-    as `_list_mul` returns rows, is 0."""
-    basis = []
+    Each row is reduced by the pivot rows before it, in the order they were
+    found; a nonzero remainder becomes a pivot row, normalized to 1 at its
+    pivot column pc and stored once as (pc, cols, vals): the parallel lists
+    of its other nonzero columns and their entries, as logs over a field
+    with log tables (each product one exp lookup) and as reps otherwise.
+    Every pivot row is 0 at the pivot columns of the rows before it.
+    Returns the pivot rows and the rank of every prefix rows[:i+1]."""
+    log, exp = field._log, field._exp
+    add, neg, mul = field.add, field.neg, field.mul
+    enc = int if log is None else log.__getitem__
+    pivots = []
     ranks = []
     for row in rows:
-        for pc, prow in basis:
-            c = row[pc] if pc < len(row) else 0
+        row = list(row)
+        for pc, cols, vals in pivots:
+            c = row[pc]
             if c:
-                row = _list_mul((field.neg(c),), prow, field, None, row)
-        pc = next((col for col, x in enumerate(row) if x), None)
+                row[pc] = 0
+                c = enc(neg(c))
+                for j, v in zip(cols, vals):
+                    row[j] = add(row[j], exp[c + v] if exp else mul(c, v))
+        pc = next((j for j, x in enumerate(row) if x), None)
         if pc is not None:
-            row = _list_mul(row, (field.inv(row[pc]),), field)
-            for i, (qc, qrow) in enumerate(basis):
-                c = qrow[pc] if pc < len(qrow) else 0
-                if c:
-                    basis[i] = (qc, _list_mul((field.neg(c),), row, field,
-                                              None, qrow))
-            basis.append((pc, row))
-        ranks.append(len(basis))
-    return basis, ranks
+            inv = field.inv(row[pc])
+            cols = [j for j in range(pc + 1, len(row)) if row[j]]
+            pivots.append((pc, cols, [enc(mul(inv, row[j])) for j in cols]))
+        ranks.append(len(pivots))
+    return pivots, ranks
+
+
+def _reduced_basis(rows, field):
+    """The reduced row echelon basis [(pivot column, row)] of the row space:
+    the pivot rows of `_forward_eliminate`, back-substituted last to first,
+    with a 1 at each pivot and 0 in every other basis row's pivot column.
+    Rows are `_list_mul` multiply-adds, without trailing zeros."""
+    pivots, _ = _forward_eliminate(rows, field)
+    exp = field._exp
+    basis = []
+    for pc, cols, vals in pivots:
+        row = [0] * (cols[-1] + 1 if cols else pc + 1)
+        row[pc] = 1
+        for j, v in zip(cols, vals):
+            row[j] = v if exp is None else exp[v]
+        basis.append((pc, row))
+    for k in range(len(basis) - 1, 0, -1):
+        pc, prow = basis[k]
+        for i in range(k):
+            qc, qrow = basis[i]
+            c = qrow[pc] if pc < len(qrow) else 0
+            if c:
+                basis[i] = (qc, _list_mul((field.neg(c),), prow, field,
+                                          None, qrow))
+    return basis
 
 
 def _nullspace(rows, field):
@@ -54,7 +92,7 @@ def _nullspace(rows, field):
     if not rows:
         return []
     n = len(rows[0])
-    basis, _ = _echelon(rows, field)
+    basis = _reduced_basis(rows, field)
     pivots = {pc for pc, _ in basis}
     out = []
     for fc in range(n):
@@ -103,30 +141,41 @@ class EvaluationSet:
 
 
 def enumerate_points(model, ext_field, avoid=(), include_singular=False):
-    """Exhaustive scan of the affine plane over ext_field.
+    """Exhaustive scan of the affine plane over ext_field, in the cheaper
+    variable.
 
     Keeps points on the curve where no polynomial in `avoid` vanishes;
     singular points of the plane model are skipped by default since a
-    single evaluation cannot separate the branches above them.
+    single evaluation cannot separate the branches above them.  When
+    deg_X F < deg_Y F, F, its partials and `avoid` are swapped once, so the
+    outer variable is Y and Horner runs in X.  The partials and `avoid` are
+    specialized only on lines where f has a zero, and the points are sorted
+    by (x, y) at the end.
     """
     embed = model.field.embedding_into(ext_field)
     F = model.equation
-    F, Fx, Fy = (P.lift(ext_field, embed)
-                 for P in (F, F.derivative_x(), F.derivative_y()))
-    avoid = [a.lift(ext_field, embed) for a in avoid]
+    polys = (F, F.derivative_x(), F.derivative_y(), *avoid)
+    swap = F.deg_x < F.deg_y
+    if swap:
+        polys = [P.swap_xy() for P in polys]
+    F, Fu, Fv, *avoid = (P.lift(ext_field, embed) for P in polys)
+    line = range(ext_field.order)
     pts = []
-    for x in range(ext_field.order):
-        f, fx, fy = (P.specialize_x(x) for P in (F, Fx, Fy))
-        avoid_x = [a.specialize_x(x) for a in avoid]
-        for y in range(ext_field.order):
-            if f.eval_rep(y):
-                continue
+    for u in line:
+        f = F.specialize_x(u)
+        zeros = [v for v in line if not f.eval_rep(v)]
+        if not zeros:
+            continue
+        fu, fv = Fu.specialize_x(u), Fv.specialize_x(u)
+        avoid_u = [a.specialize_x(u) for a in avoid]
+        for v in zeros:
             if not include_singular:
-                if fx.eval_rep(y) == 0 and fy.eval_rep(y) == 0:
+                if fu.eval_rep(v) == 0 and fv.eval_rep(v) == 0:
                     continue
-            if any(a.eval_rep(y) == 0 for a in avoid_x):
+            if any(a.eval_rep(v) == 0 for a in avoid_u):
                 continue
-            pts.append((x, y))
+            pts.append((v, u) if swap else (u, v))
+    pts.sort()
     return EvaluationSet(field=ext_field, points=tuple(pts), model=model)
 
 
@@ -158,6 +207,39 @@ def designed_bounds(gamma, m):
     return m + 2 - 2 * gamma.genus, m_prime, gamma.feng_rao(m_prime)
 
 
+def _product_rows(table, funcs, points, embed):
+    """The value rows of funcs at the points.  Each fn is base * h_e^l
+    (`FunctionTable.factors`), and funcs ascend in pole order, so l ascends
+    by one along each base: a row is the previous row of its base times
+    the h_e row, entry by entry, and each base and h_e is evaluated at the
+    points once, by `_values`.  Where a base has a pole at some point, the
+    rows of that base are the `_values` rows of their own functions, which
+    name a pole of fn if it has one."""
+    ext = points.field
+    pts = tuple(enumerate(points.points))
+    h_row = None
+    last = {}       # id(base) -> [l, row of base * h_e^l, None at a pole]
+    matrix = []
+    for fn in funcs:
+        base, l = table.factors(fn.value)
+        entry = last.get(id(base))
+        if entry is None:
+            try:
+                entry = [0, tuple(_values(base, pts, ext, embed))]
+            except PreconditionError:
+                entry = [0, None]
+            last[id(base)] = entry
+        if entry[1] is None:
+            matrix.append(tuple(_values(fn, pts, ext, embed)))
+            continue
+        while entry[0] < l:
+            if h_row is None:
+                h_row = tuple(_values(table.h_e, pts, ext, embed))
+            entry[:] = [entry[0] + 1, tuple(map(ext.mul, entry[1], h_row))]
+        matrix.append(entry[1])
+    return tuple(matrix)
+
+
 def build_code(table, points, m, improved=False):
     """Evaluation matrix of the L(mP) basis at the points, plus the
     derived parameters of the dual code C(m)."""
@@ -170,9 +252,8 @@ def build_code(table, points, m, improved=False):
         funcs = [table.function_for(r) for r in table.at_infinity.elements(m)]
     else:
         funcs = l_basis(table, m)
-    matrix = tuple(tuple(_values(fn, enumerate(points.points), ext, embed))
-                   for fn in funcs)
-    _, ranks = _echelon(matrix, ext)
+    matrix = _product_rows(table, funcs, points, embed)
+    ranks = _forward_eliminate(matrix, ext)[1]
     n = len(points.points)
     d_star, m_prime, fr = designed_bounds(gamma, m)
     return CodeSpec(m=m, n=n, k=n - ranks[-1], rank=ranks[-1], d_star=d_star,

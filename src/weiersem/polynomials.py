@@ -7,7 +7,7 @@ coefficient-list multiply-add c + a*b, optionally truncated (every sum,
 difference, negation and scaling, row by row for BiPoly; the UniPoly
 product, hence the Rabin test in `fields`; the series products and sums of
 products in `branch`; the Newton series inverse `_ser_inv` and its step;
-every division below; the row operations and codeword sums in `codes`);
+every division below; the back-substitution and codeword sums in `codes`);
 over GF(p) it packs long operands and c into big integers
 (`_kronecker_mul`), and over GF(p^k) with log tables it multiplies over the
 logs of the nonzero coefficients, taken once per operand.  `_rows_mul`,

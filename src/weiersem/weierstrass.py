@@ -129,15 +129,20 @@ class FunctionTable:
 
     # -- function lookup ---------------------------------------------------
 
-    def function_for(self, r):
-        """A function with pole order exactly r at infinity: h_i * h_e^l
-        with h_i the AM product of class i when r lies in S_P, the slot
-        function of class i otherwise."""
+    def factors(self, r):
+        """(base, l) with base * h_e^l of pole order exactly r at infinity:
+        base is the AM product h_i of class i = r mod e when r lies in S_P,
+        the slot function of class i otherwise."""
         if not self.contains(r):
             raise PreconditionError(f"{r} is not a tracked pole order")
         i = r % self.e
         base = self._am[i] if r in self.at_infinity else self.slots[i]
-        l = (r - base.value) // self.e
+        return base, (r - base.value) // self.e
+
+    def function_for(self, r):
+        """The function base * h_e^l of `factors(r)`, validated against the
+        oracle."""
+        base, l = self.factors(r)
         fn = base * self.h_e.pow(l) if l else base
         if fn.value != r:
             raise InconsistencyError("composed function has wrong value")

@@ -280,14 +280,15 @@ HERMITIAN_GF4_BOUNDS = [
 
 @pytest.mark.parametrize("ext", ["6", "10"])
 def test_code_scan_limit_exit_1(ext, capsys):
-    """A point scan q^2*(deg_Y+1) above SCAN_LIMIT is an input error,
-    answered before the point field is built: over GF(2^12) the scan of
-    the normalized deg_Y 9 model would take about 18 s."""
+    """A point scan q^2*(min(deg_X,deg_Y)+1) above SCAN_LIMIT is an input
+    error, answered before the point field is built: over GF(2^12) the scan
+    of the normalized model, Horner in X of degree 3, would take about 8 s."""
     start = time.perf_counter()
     assert _run(HERMITIAN_GF4_BOUNDS + ["--ext", ext]) == (1, "")
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
-    assert err.startswith("error: code: point scan q^2*(deg_Y+1) = ")
+    assert err.startswith(
+        "error: code: point scan q^2*(min(deg_X,deg_Y)+1) = ")
     assert err.count("\n") == 1
     assert f"limit 2^{SCAN_LIMIT.bit_length() - 1}" in err
 

@@ -11,7 +11,8 @@ from weiersem import (FiniteField, PreconditionError, am_sequence,
                       min_distance_exact, normalize_degree, parametrize,
                       parse_field, parse_poly, semigroup_at_infinity,
                       triangulate)
-from weiersem.codes import _echelon, _nullspace, _values
+from weiersem.codes import (_forward_eliminate, _nullspace, _reduced_basis,
+                            _values)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +240,8 @@ def test_bidim_syndrome_pole_is_named(golden_model, golden_report):
 
 
 def _naive_rank(rows, field):
-    """Column-by-column Gaussian elimination; the oracle for _echelon."""
+    """Column-by-column Gaussian elimination; the oracle for the prefix
+    ranks of `_forward_eliminate`."""
     rows = [list(r) for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -284,6 +286,86 @@ def test_prefix_ranks_hermitian_ext2():
     assert _check_prefix_ranks(rep.table, points, 24).rank == len(points)
 
 
+def _empty_basis_report(field_text, curve):
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    seq = am_sequence(model)
+    return model, triangulate(semigroup_at_infinity(seq), seq.roots, [],
+                              parametrize(model))
+
+
+def _values_matrix(table, funcs, points):
+    """One `_values` row per function: the oracle for the product rows."""
+    ext = points.field
+    embed = table.oracle.field.embedding_into(ext)
+    return tuple(tuple(_values(fn, enumerate(points.points), ext, embed))
+                 for fn in funcs)
+
+
+def _check_product_rows(table, points, m):
+    for improved in (False, True):
+        spec = build_code(table, points, m, improved=improved)
+        funcs = [table.function_for(r) for r in spec.row_values]
+        assert spec.matrix == _values_matrix(table, funcs, points)
+
+
+def test_product_rows_golden(golden_report, golden_points):
+    """The golden basis over GF(8): three slot denominators, filtered."""
+    assert len(golden_report.table.denominators()) == 3
+    _check_product_rows(golden_report.table, golden_points, 12)
+
+
+@pytest.mark.parametrize("field_text, curve, e, m", [
+    ("GF(2^2)", "Y^2+Y+X^3", 2, 24),     # hermitian_gf4_code_bounds_ext2
+    ("GF(2^2)", "Y^2+Y+X^3", 4, 40),     # code-sweep
+    ("GF(3^2)", "Y^3+Y+X^4", 2, 30),     # y3_gf9_code_build_ext2
+    ("GF(2^2)", "Y^4+Y+X^5", 2, 40),
+    ("GF(5)", "Y^2+X^3+1", 2, 20),
+])
+def test_product_rows_equal_values_rows(field_text, curve, e, m):
+    """Each row is the previous row of its base times the h_e row, entry by
+    entry: equal to evaluating the composed function, with and without
+    --improved."""
+    model, report = _empty_basis_report(field_text, curve)
+    field = model.field
+    points = enumerate_points(model, FiniteField(field.p, field.k * e),
+                              avoid=report.table.denominators())
+    _check_product_rows(report.table, points, m)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_product_rows_at_a_base_pole(golden_model, golden_report, k):
+    """Unfiltered singular points where slot denominators vanish: the
+    matrix, or the error naming the point and the pole order, is the one
+    the `_values` rows give."""
+    table = golden_report.table
+    points = enumerate_points(golden_model, FiniteField(2, k),
+                              include_singular=True)
+    for improved in (False, True):
+        rs = (table.at_infinity.elements(12) if improved else
+              [r for r in range(13) if table.contains(r)])
+        funcs = [table.function_for(r) for r in rs]
+        try:
+            want = _values_matrix(table, funcs, points)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as err:
+                build_code(table, points, 12, improved=improved)
+            assert str(err.value) == str(exc)
+            assert "has a pole at point #" in str(exc)
+        else:
+            assert build_code(table, points, 12,
+                              improved=improved).matrix == want
+
+
+def test_prefix_ranks_prime_field():
+    """Over a prime point field the forward elimination runs without log
+    tables, on field.mul."""
+    model, report = _empty_basis_report("GF(5)", "Y^2+X^3+1")
+    points = enumerate_points(model, FiniteField(5))
+    assert points.field._log is None
+    _check_prefix_ranks(report.table, points, 2 * len(points))
+
+
 def _dot(field, a, b):
     acc = 0
     for x, y in zip(a, b):
@@ -318,8 +400,8 @@ def test_nullspace_against_bruteforce_kernel(p, k):
             span.add(tuple(vec))
         assert len(kernel) == q ** len(null)
         assert span == kernel
-        assert _echelon(rows, F)[1] == [_naive_rank(rows[:i + 1], F)
-                                        for i in range(len(rows))]
+        assert _forward_eliminate(rows, F)[1] == [
+            _naive_rank(rows[:i + 1], F) for i in range(len(rows))]
 
 
 @pytest.mark.parametrize("field", [FiniteField(5), FiniteField(2, 8),
@@ -327,9 +409,9 @@ def test_nullspace_against_bruteforce_kernel(p, k):
                          ids=repr)
 def test_echelon_rows_reduced_and_nullspace_annihilates(field):
     """Seeded 6 x 80 matrices with two dependent rows and zero tails: the
-    prefix ranks match the naive elimination, every basis row is reduced
-    (a column past its end read as 0), and every nullspace vector
-    annihilates every row."""
+    forward elimination's prefix ranks match the naive elimination, every
+    row of `_nullspace`'s reduced basis is reduced (a column past its end
+    read as 0), and every nullspace vector annihilates every row."""
     q = field.order
     rng = random.Random(f"echelon:{field!r}")
     for _ in range(3):
@@ -344,9 +426,11 @@ def test_echelon_rows_reduced_and_nullspace_annihilates(field):
             rows.append([field.add(field.mul(c1, x), field.mul(c2, y))
                          for x, y in zip(r1, r2)])
         rng.shuffle(rows)
-        basis, ranks = _echelon(rows, field)
+        _, ranks = _forward_eliminate(rows, field)
         assert ranks == [_naive_rank(rows[:i + 1], field)
                          for i in range(len(rows))]
+        basis = _reduced_basis(rows, field)
+        assert len(basis) == ranks[-1]
         for pc, row in basis:
             assert row and row[-1] and len(row) <= 80
             assert row[pc] == 1 and not any(row[:pc])
@@ -392,13 +476,17 @@ def _brute_points(model, ext, avoid, include_singular):
     ("GF(2^2)", "Y^2+Y+X^3", 2, ["X+[t]", "Y^2+X*Y+1"]),
     ("GF(3^2)", "Y^3+Y+X^4", 2, ["X-Y", "Y^2+[t]"]),
     ("GF(5)", "Y^2+X^3+1", 2, ["X+2*Y+1"]),
+    ("GF(2^2)", "Y^2+Y+X^3", 4, ["X+Y+[t]", "Y^3+X"]),
+    ("GF(3)", "Y^3+Y+X^4", 4, ["X+Y+1", "Y^2+X^2+2"]),
+    ("GF(7)", "Y^4+X^7+3", 2, ["X+Y", "Y^2+3*X"]),
 ])
 @pytest.mark.parametrize("include_singular", [False, True])
 def test_enumerate_points_against_bruteforce(field_text, curve, e,
                                              avoid_texts, include_singular):
-    """The lifted, once-per-x specialized scan keeps the same points in
+    """The lifted scan, in Y or in X after a swap, keeps the same points in
     the same order as a scan that embeds every coefficient at every
-    evaluation, with and without `avoid`."""
+    evaluation, with and without `avoid`.  The normalized models have
+    deg_X < deg_Y (swapped) except over GF(5) and GF(7)."""
     field = parse_field(field_text)
     model = normalize_degree(parse_poly(curve, field))
     ext = FiniteField(field.p, field.k * e)

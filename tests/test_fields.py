@@ -5,7 +5,7 @@ import time
 import pytest
 
 from weiersem import FiniteField, InputError, default_modulus
-from weiersem.fields import _is_irreducible
+from weiersem.fields import _is_irreducible, is_prime, power
 
 
 def test_gf2_characteristic():
@@ -119,6 +119,34 @@ def test_log_tables_match_raw_mul():
     for a in range(F.order):
         for b in range(F.order):
             assert F.mul(a, b) == F._raw_mul(a, b)
+
+
+def _raw_mul_walk(F):
+    """(g, exp, log) by the schoolbook `_raw_mul`: the least g of order
+    q - 1 and one walk of its powers; the oracle for the table builder."""
+    q = F.order
+    primes = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
+    g = next(g for g in range(2, q)
+             if all(power(g, (q - 1) // l, F._raw_mul, 1) != 1
+                    for l in primes))
+    exp, log = [], [0] * q
+    x = 1
+    for i in range(q - 1):
+        exp.append(x)
+        log[x] = i
+        x = F._raw_mul(x, g)
+    return g, exp, log
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_char2_tables_match_raw_mul_walk(k):
+    """The shift-XOR walk builds the same generator, exp and log tables as
+    the `_raw_mul` walk."""
+    F = FiniteField(2, k)
+    g, exp, log = _raw_mul_walk(F)
+    assert F.generator_rep == g
+    assert F._exp == exp + exp
+    assert F._log == log
 
 
 @pytest.mark.parametrize("p,k,generator", [
