@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .polynomials import _list_mul
+from .polynomials import _list_mul, _trim
 from .weierstrass import l_basis
 
 
@@ -34,11 +34,11 @@ def _forward_eliminate(rows, field):
 
     Each row is reduced by the pivot rows before it, in the order they were
     found; a nonzero remainder becomes a pivot row, normalized to 1 at its
-    pivot column pc and stored once as (pc, cols, vals): the parallel lists
-    of its other nonzero columns and their entries, as logs over a field
-    with log tables (each product one exp lookup) and as reps otherwise.
-    Every pivot row is 0 at the pivot columns of the rows before it.
-    Returns the pivot rows and the rank of every prefix rows[:i+1]."""
+    pivot column pc and stored once as (pc, vals): one list of its entries
+    past pc, as logs over a field with log tables (each product one exp
+    lookup) and as reps otherwise, None at a zero.  Every pivot row is 0 at
+    the pivot columns of the rows before it.  Returns the pivot rows and
+    the rank of every prefix rows[:i+1]."""
     log, exp = field._log, field._exp
     add, neg, mul = field.add, field.neg, field.mul
     enc = int if log is None else log.__getitem__
@@ -46,18 +46,19 @@ def _forward_eliminate(rows, field):
     ranks = []
     for row in rows:
         row = list(row)
-        for pc, cols, vals in pivots:
+        for pc, vals in pivots:
             c = row[pc]
             if c:
                 row[pc] = 0
                 c = enc(neg(c))
-                for j, v in zip(cols, vals):
-                    row[j] = add(row[j], exp[c + v] if exp else mul(c, v))
+                for j, v in enumerate(vals, pc + 1):
+                    if v is not None:
+                        row[j] = add(row[j], exp[c + v] if exp else mul(c, v))
         pc = next((j for j, x in enumerate(row) if x), None)
         if pc is not None:
             inv = field.inv(row[pc])
-            cols = [j for j in range(pc + 1, len(row)) if row[j]]
-            pivots.append((pc, cols, [enc(mul(inv, row[j])) for j in cols]))
+            pivots.append((pc, [enc(mul(inv, x)) if x else None
+                                for x in row[pc + 1:]]))
         ranks.append(len(pivots))
     return pivots, ranks
 
@@ -67,15 +68,11 @@ def _reduced_basis(rows, field):
     the pivot rows of `_forward_eliminate`, back-substituted last to first,
     with a 1 at each pivot and 0 in every other basis row's pivot column.
     Rows are `_list_mul` multiply-adds, without trailing zeros."""
-    pivots, _ = _forward_eliminate(rows, field)
-    exp = field._exp
+    dec = int if field._exp is None else field._exp.__getitem__
     basis = []
-    for pc, cols, vals in pivots:
-        row = [0] * (cols[-1] + 1 if cols else pc + 1)
-        row[pc] = 1
-        for j, v in zip(cols, vals):
-            row[j] = v if exp is None else exp[v]
-        basis.append((pc, row))
+    for pc, vals in _forward_eliminate(rows, field)[0]:
+        row = [0] * pc + [1] + [0 if v is None else dec(v) for v in vals]
+        basis.append((pc, _trim(row)))
     for k in range(len(basis) - 1, 0, -1):
         pc, prow = basis[k]
         for i in range(k):

@@ -169,27 +169,25 @@ class FiniteField:
                         for l in primes))
         exp = [0] * (q - 1)
         log = [0] * q
+        step = lambda x: self._raw_mul(x, g)
         if p == 2:
-            # x <- x*g on the bits of x: XOR of shifts of x by the set bits
-            # of g, then clear each bit from k up by the modulus bits
+            # x*g on the bits of x: XOR of shifts of x by the set bits of g,
+            # then each bit from k up cleared by the modulus bits
             shifts = [i for i in range(g.bit_length()) if g >> i & 1]
             k, mod = self.k, self.encode(self.modulus)
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
+
+            def step(x):
                 y = 0
                 for s in shifts:
                     y ^= x << s
                 while y >> k:
                     y ^= mod << (y.bit_length() - 1 - k)
-                x = y
-        else:
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
-                x = self._raw_mul(x, g)
+                return y
+        x = 1
+        for i in range(q - 1):
+            exp[i] = x
+            log[x] = i
+            x = step(x)
         if p != 2:
             # 1 + x raises the constant digit of x by one, mod p
             self._zech = [log[x + 1] if (x + 1) % p else
