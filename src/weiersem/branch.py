@@ -26,31 +26,14 @@ and `_ser_inv` return, so no series is ever padded or re-trimmed.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, InputError, PrecisionCeilingError, \
+from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import FieldElement
 from .polynomials import BiPoly, UniPoly, resultant_y, _list_mul, _ser_inv
 
-DEFAULT_PRECISION_CEILING = 1 << 16
-
-
-def precision_ceiling():
-    """WEIERSTRASS_PRECISION_CEILING (an integer >= 1) if set, else the
-    default."""
-    v = os.environ.get("WEIERSTRASS_PRECISION_CEILING")
-    if not v:
-        return DEFAULT_PRECISION_CEILING
-    try:
-        ceiling = int(v)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise InputError("WEIERSTRASS_PRECISION_CEILING must be an integer "
-                         f">= 1, got {v!r}")
-    return ceiling
+PRECISION_CEILING = 1 << 16     # most series terms a branch may carry
 
 
 # -- truncated power series: rep lists of at most prec entries -------------
@@ -194,13 +177,11 @@ class BranchParam:
     u and v hold at most `precision` coefficients each; the coefficients
     past their ends, up to `precision`, are zero."""
 
-    def __init__(self, model, precision=None):
+    def __init__(self, model):
         self.model = model
         F = model.equation
         self.field = F.field
-        self.ceiling = precision_ceiling()
         D = int(F.total_degree)
-        self.degree = D
         self.chart, self.lam = _infinity_chart(F)
         G = _local_equation(F, self.chart, self.lam)
         steps = []
@@ -226,10 +207,11 @@ class BranchParam:
             self._mode = "u_of_v"
         else:  # pragma: no cover
             raise InconsistencyError("terminal point is not smooth")
-        if precision is None:
-            precision = min(4 * D * D, self.ceiling)
+        # P is the only place at infinity, so by Bezout the line at
+        # infinity meets the branch there D times: ord_t v(t) = D
+        self.pole_order = D
         self.precision = 0
-        self._compute_series(max(4, precision))
+        self._compute_series(min(4 * D * D, PRECISION_CEILING))
 
     # -- series construction ------------------------------------------
 
@@ -257,10 +239,15 @@ class BranchParam:
         return [0, 1], s
 
     def _compute_series(self, prec):
-        if prec > self.ceiling:
+        D = self.pole_order
+        if prec > PRECISION_CEILING:
             raise PrecisionCeilingError(
                 f"required precision {prec} exceeds the ceiling "
-                f"{self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
+                f"{PRECISION_CEILING}")
+        if prec <= D:
+            raise PrecisionCeilingError(
+                f"v(t) of pole order {D} needs precision {D + 1} beyond "
+                f"the ceiling {PRECISION_CEILING}")
         field = self.field
         t_series, s = self._newton_solve(prec)
         if self._mode == "v_of_u":
@@ -283,16 +270,10 @@ class BranchParam:
         if any(self._pullback(self.model.equation)[0]):
             raise InconsistencyError("parametrization does not annihilate "
                                      "the local equation")
-        ord_v = _ser_ord(v)
-        if ord_v is None:
-            if prec >= self.ceiling:
-                raise PrecisionCeilingError(
-                    f"v(t) vanished to working precision {prec}, the "
-                    f"ceiling {self.ceiling} (WEIERSTRASS_PRECISION_CEILING)")
-            self._compute_series(min(2 * prec, self.ceiling))
-            return
-        self.pole_order = ord_v       # ord_t of the chart coordinate Z/X
-        self._lc_v = v[ord_v]
+        if _ser_ord(v) != D:
+            raise InconsistencyError(
+                f"v(t) does not have order {D}, the total degree")
+        self._lc_v = v[D]
 
     def refine(self, precision):
         """Extend the series; prefixes are stable (same chain, same
@@ -335,13 +316,13 @@ class BranchParam:
             target = self.precision
             while target < needed:
                 target *= 2
-            if target > self.ceiling:
-                if needed <= self.ceiling:
-                    target = self.ceiling
+            if target > PRECISION_CEILING:
+                if needed <= PRECISION_CEILING:
+                    target = PRECISION_CEILING
                 else:
                     raise PrecisionCeilingError(
                         f"valuation needs precision {needed} beyond the "
-                        f"ceiling {self.ceiling}")
+                        f"ceiling {PRECISION_CEILING}")
             self.refine(target)
         series, d = self._pullback(g)
         o = _ser_ord(series)
@@ -374,9 +355,9 @@ class BranchParam:
                          leading=FieldElement(field, field.div(c1, c2)))
 
 
-def parametrize(model, precision=None):
+def parametrize(model):
     """Truncated parametrization of the unique branch at infinity."""
-    return BranchParam(model, precision)
+    return BranchParam(model)
 
 
 def valuation(param, num, den=None):

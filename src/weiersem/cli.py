@@ -1,8 +1,7 @@
 """Command-line surface: every pipeline stage, with deterministic output.
 
 Exit codes: 0 success, 1 input error, 2 mathematical precondition failure,
-3 internal inconsistency.  The environment variable
-WEIERSTRASS_PRECISION_CEILING overrides the series precision ceiling.
+3 internal inconsistency.
 """
 
 import argparse

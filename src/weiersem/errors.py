@@ -23,7 +23,7 @@ class HypothesisError(PreconditionError):
 
 class PrecisionCeilingError(PreconditionError):
     """The branch series would need more terms than the precision ceiling
-    (WEIERSTRASS_PRECISION_CEILING) allows."""
+    (branch.PRECISION_CEILING) allows."""
 
 
 class InconsistencyError(WeiersemError):

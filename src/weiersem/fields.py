@@ -87,6 +87,8 @@ def default_modulus(p, k):
     """The monic irreducible of degree k over GF(p) whose lower part has
     the least base-p integer encoding (reproducible across runs)."""
     for v in range(p ** k):
+        if k > 1 and v % p == 0:
+            continue    # constant term 0: t divides it
         coeffs = []
         vv = v
         for _ in range(k):

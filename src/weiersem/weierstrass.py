@@ -35,7 +35,10 @@ def _x_content(P):
 def _strip_common_content(num, den):
     """Cancel the common univariate X-content of numerator and denominator
     (no gcd over the curve is attempted)."""
-    g = _x_content(num).gcd(_x_content(den))
+    g = _x_content(den)
+    if g.degree == 0:   # a unit content: den = 1 on every AM product
+        return num, den
+    g = _x_content(num).gcd(g)
     if g.degree >= 1:
         f = num.field
         num, den = (BiPoly.from_y_coeffs(f, _exact_quotients(

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from weiersem import (BiPoly, FiniteField, InconsistencyError, InputError,
+from weiersem import (BiPoly, FiniteField, InconsistencyError,
                       PreconditionError, branch, normalize_degree,
                       parse_field, parse_poly, parse_rational, parametrize,
                       valuation, valuation_by_resultant)
-from weiersem.branch import (DEFAULT_PRECISION_CEILING, _ser_horner,
-                             precision_ceiling)
+from weiersem.branch import _ser_horner
+from weiersem.errors import PrecisionCeilingError
 from weiersem.polynomials import _KRONECKER_CUTOFF, _list_mul
 
 F5 = parse_field("GF(5)")
@@ -77,17 +77,6 @@ def test_am_roots_match_deltas(golden_param, golden_seq):
         assert -valuation(golden_param, root).order == delta
 
 
-@pytest.mark.parametrize("precision", [4, 9])
-def test_low_start_precision_refines(golden_model, golden_param, golden_seq,
-                                     precision):
-    """A start precision at or below the pole order of v (9 on the golden
-    curve) doubles until v(t) shows, instead of failing."""
-    param = parametrize(golden_model, precision=precision)
-    assert param.pole_order == golden_param.pole_order == 9
-    for root in golden_seq.roots:
-        assert valuation(param, root) == valuation(golden_param, root)
-
-
 def _random_poly(rng, field, dx, dy):
     terms = {}
     for i in range(dx + 1):
@@ -147,7 +136,7 @@ def test_denominator_divisible_rejected(golden_model, golden_param, gf2):
 
 
 def test_precision_stability(cusp_model):
-    param = parametrize(cusp_model, precision=16)
+    param = parametrize(cusp_model)
     v1 = valuation(param, BiPoly.x(F5) * BiPoly.y(F5))
     param.refine(64)
     v2 = valuation(param, BiPoly.x(F5) * BiPoly.y(F5))
@@ -160,30 +149,60 @@ def _pad(a, prec):
 
 
 def test_refinement_extends_prefix(cusp_model):
-    p1 = parametrize(cusp_model, precision=12)
-    u1, v1 = _pad(p1.u, 12), _pad(p1.v, 12)
-    p1.refine(40)
-    assert _pad(p1.u, 12) == u1
-    assert _pad(p1.v, 12) == v1
-    assert p1.precision >= 40
+    p1 = parametrize(cusp_model)
+    start = p1.precision
+    u1, v1 = _pad(p1.u, start), _pad(p1.v, start)
+    p1.refine(start + 40)
+    assert _pad(p1.u, start) == u1
+    assert _pad(p1.v, start) == v1
+    assert p1.precision >= start + 40
+
+
+# the six curves of the benchmark pipeline workloads, then a chart-y curve
+SERIES_CURVES = [
+    ("GF(2^2)", "Y^2+Y+X^3"),
+    ("GF(3^2)", "Y^3+Y+X^4"),
+    ("GF(2^4)", "Y^4+Y+X^5"),
+    ("GF(2)", "Y^8+Y^2+X^3"),
+    ("GF(3)", "Y^9+X^10+X^2"),
+    ("GF(2)", "Y^16+X^5+X^3+1"),
+    ("GF(2^2)", "X^5+Y^3+[t]"),
+]
 
 
 @pytest.mark.parametrize("field_text, curve, precision", [
-    ("GF(2^2)", "Y^2+Y+X^3", None),
-    ("GF(3^2)", "Y^3+Y+X^4", None),
-    ("GF(2^4)", "Y^4+Y+X^5", None),
-    ("GF(2)", "Y^8+Y^2+X^3", None),
-    ("GF(3)", "Y^9+X^10+X^2", None),
-    ("GF(2)", "Y^16+X^5+X^3+1", None),
-    ("GF(2^2)", "X^5+Y^3+[t]", None),     # chart y
-    ("GF(2)", "Y^8+Y^2+X^3", 9),          # refined past the pole order
+    curve + (None,) for curve in SERIES_CURVES] + [
+    ("GF(2)", "Y^8+Y^2+X^3", 400),        # refined past the start 4*9^2
 ])
 def test_series_within_precision(field_text, curve, precision):
-    """u and v carry at most `precision` coefficients."""
-    field = parse_field(field_text)
-    param = parametrize(normalize_degree(parse_poly(curve, field)), precision)
+    """u and v carry at most `precision` coefficients, at the start and
+    after a refine to `precision` if one is given; the pole order of v(t)
+    is the total degree D of the model (Bezout: the line at infinity meets
+    the curve D times, all at the one place P)."""
+    model = normalize_degree(parse_poly(curve, parse_field(field_text)))
+    param = parametrize(model)
+    if precision is not None:
+        param.refine(precision)
+        assert param.precision == precision
     assert len(param.u) <= param.precision
     assert len(param.v) <= param.precision
+    assert param.pole_order == int(model.equation.total_degree)
+
+
+@pytest.mark.parametrize("field_text, curve", SERIES_CURVES)
+def test_start_precision_exceeds_pole_order(monkeypatch, field_text, curve):
+    """The start precision min(4*D^2, ceiling) must exceed the pole order
+    D: a ceiling of D stops the expansion, one of D + 1 suffices."""
+    model = normalize_degree(parse_poly(curve, parse_field(field_text)))
+    D = int(model.equation.total_degree)
+    monkeypatch.setattr(branch, "PRECISION_CEILING", D)
+    with pytest.raises(PrecisionCeilingError,
+                       match=rf"needs precision {D + 1} beyond the ceiling "
+                             rf"{D}$"):
+        parametrize(model)
+    monkeypatch.setattr(branch, "PRECISION_CEILING", D + 1)
+    param = parametrize(model)
+    assert (param.precision, param.pole_order) == (D + 1, D)
 
 
 def test_parametrization_annihilates_equation(golden_model, golden_param):
@@ -194,38 +213,21 @@ def test_parametrization_annihilates_equation(golden_model, golden_param):
 
 
 def test_precision_ceiling(monkeypatch, cusp_model):
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "32")
-    param = parametrize(cusp_model, precision=16)
+    monkeypatch.setattr(branch, "PRECISION_CEILING", 32)
+    param = parametrize(cusp_model)
     big = BiPoly.x(F5) ** 11   # needs 11 * 3 + 4 > 32 series terms
     with pytest.raises(PreconditionError):
         valuation(param, big)
 
 
 def test_precision_clamped_at_ceiling(monkeypatch, cusp_model):
-    """X^11 needs 37 terms; doubling from 16 would ask for 64, so the
-    refinement stops at the ceiling 40 instead."""
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "40")
-    param = parametrize(cusp_model, precision=16)
+    """X^11 needs 37 terms; doubling from the start 4*3^2 = 36 would ask
+    for 72, so the refinement stops at the ceiling 40 instead."""
+    monkeypatch.setattr(branch, "PRECISION_CEILING", 40)
+    param = parametrize(cusp_model)
+    assert param.precision == 36
     assert valuation(param, BiPoly.x(F5) ** 11).order == -22
     assert param.precision == 40
-
-
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", "0x40"])
-def test_precision_ceiling_rejects_malformed(monkeypatch, cusp_model, value):
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", value)
-    with pytest.raises(InputError, match="WEIERSTRASS_PRECISION_CEILING"):
-        precision_ceiling()
-    with pytest.raises(InputError):
-        parametrize(cusp_model)
-
-
-def test_precision_ceiling_accepted_values(monkeypatch):
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "1")
-    assert precision_ceiling() == 1
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", "")
-    assert precision_ceiling() == DEFAULT_PRECISION_CEILING
-    monkeypatch.delenv("WEIERSTRASS_PRECISION_CEILING")
-    assert precision_ceiling() == DEFAULT_PRECISION_CEILING
 
 
 def test_multibranch_detected():
@@ -236,9 +238,9 @@ def test_multibranch_detected():
         parametrize(normalize_degree(model_eq))
 
 
-def _check_against_resultants(field, curve, precision, seed):
+def _check_against_resultants(field, curve, seed):
     model = normalize_degree(parse_poly(curve, field))
-    param = parametrize(model, precision=precision)
+    param = parametrize(model)
     rng = random.Random(seed)
     probes = [BiPoly.x(field), BiPoly.y(field)] + \
         [_random_poly(rng, field, 2, 2) for _ in range(10)]
@@ -256,17 +258,17 @@ def _check_against_resultants(field, curve, precision, seed):
 def test_extension_field_parametrization():
     # the generic (non-Kronecker) series path over GF(4)
     F4 = parse_field("GF(2^2)")
-    model, param = _check_against_resultants(F4, "Y^3+[t]*X^2", 48, 4)
+    model, param = _check_against_resultants(F4, "Y^3+[t]*X^2", 4)
     assert -valuation(param, BiPoly.x(F4)).order == 3
     assert -valuation(param, BiPoly.y(F4)).order == 2
     assert valuation_by_resultant(model, BiPoly.x(F4)) == 3
     assert valuation_by_resultant(model, BiPoly.y(F4)) == 2
     # blowups over an odd-characteristic extension field
     F9 = parse_field("GF(3^2)")
-    _, param = _check_against_resultants(F9, "Y^3+Y+X^4", 48, 9)
+    _, param = _check_against_resultants(F9, "Y^3+Y+X^4", 9)
     assert param._steps
     # the chart-y local equation over an extension field
-    _, param = _check_against_resultants(F4, "X^5+Y^3+[t]", None, 5)
+    _, param = _check_against_resultants(F4, "X^5+Y^3+[t]", 5)
     assert param.chart == "y"
 
 
@@ -336,4 +338,30 @@ def test_local_equation_check_fires(monkeypatch, field_text, curve):
     with pytest.raises(InconsistencyError,
                        match="parametrization does not annihilate the "
                              "local equation"):
-        parametrize(model, precision=32)
+        parametrize(model)
+
+
+@pytest.mark.parametrize("field_text, curve", [
+    ("GF(2)", "Y^8+Y^2+X^3"),
+    ("GF(5)", "Y^2+X^3"),
+    ("GF(2^2)", "X^5+Y^3+[t]"),
+])
+def test_pole_order_check_fires(monkeypatch, field_text, curve):
+    """A parametrization in t^2 in place of t still annihilates the local
+    equation, but its v(t) has order 2*D, not the total degree D: the
+    Bezout check rejects it."""
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    solve = branch.BranchParam._newton_solve
+
+    def in_t_squared(self, prec):
+        _, s = solve(self, prec)
+        s2 = [0] * (2 * len(s))
+        s2[::2] = s
+        return [0, 0, 1], s2[:prec]
+
+    monkeypatch.setattr(branch.BranchParam, "_newton_solve", in_t_squared)
+    with pytest.raises(InconsistencyError,
+                       match=r"v\(t\) does not have order "
+                             rf"{int(model.equation.total_degree)}, "):
+        parametrize(model)

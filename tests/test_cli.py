@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from weiersem import NumericalSemigroup
+from weiersem import NumericalSemigroup, branch
 from weiersem.cli import RANGE_LIMIT, SCAN_LIMIT, run
 from weiersem.polynomials import DEGREE_LIMIT, TABLELESS_DEGREE_LIMIT
 
@@ -423,20 +423,6 @@ def test_selftest_passes():
     assert "FAIL" not in text
 
 
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_malformed_precision_ceiling_exit_1(monkeypatch, capsys, basis_file,
-                                            value):
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", value)
-    code, text = _run(["weierstrass", "--field", "GF(2)",
-                       "--curve", "Y^8+Y^2+X^3",
-                       "--integral-basis", basis_file])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert text == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "WEIERSTRASS_PRECISION_CEILING" in err
-
-
 _WEIERSTRASS, _LBASIS = ["weierstrass"], ["lbasis", "--m", "10"]
 
 
@@ -452,9 +438,9 @@ def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
                                        command, ceiling):
     """A valuation of a basis element that needs more terms than the
     ceiling is a precondition failure, not an inconsistent basis; so is a
-    start precision clamped so low (4 to 9 terms on the golden curve) that
-    the chart coordinate v(t) vanishes to it."""
-    monkeypatch.setenv("WEIERSTRASS_PRECISION_CEILING", str(ceiling))
+    ceiling (4 or 9 terms) at or below the pole order 9 of v(t) on the
+    golden curve, which the start precision must exceed."""
+    monkeypatch.setattr(branch, "PRECISION_CEILING", ceiling)
     code, text = _run(command + ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
                                  "--integral-basis", basis_file])
     err = capsys.readouterr().err

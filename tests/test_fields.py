@@ -263,3 +263,33 @@ def test_default_modulus_pinned(p, k, modulus):
 def test_default_modulus_degree_one():
     # a linear polynomial is irreducible; the least one is t itself
     assert default_modulus(5, 1) == (0, 1) == FiniteField(5).modulus
+
+
+def _divides(g, f, p):
+    """Whether the monic g divides f over GF(p) (coefficients low first)."""
+    r = list(f)
+    for i in reversed(range(len(f) - len(g) + 1)):
+        c = r[i + len(g) - 1]
+        for j, gj in enumerate(g):
+            r[i + j] = (r[i + j] - c * gj) % p
+    return not any(r)
+
+
+def _least_irreducible(p, k):
+    """Every monic of degree k in encoding order, each trial-divided by
+    every monic of degree 1..k//2: the first without a factor."""
+    def monic(d, v):
+        return [(v // p ** i) % p for i in range(d)] + [1]
+    for v in range(p ** k):
+        f = monic(k, v)
+        if not any(_divides(monic(d, w), f, p)
+                   for d in range(1, k // 2 + 1) for w in range(p ** d)):
+            return tuple(f)
+
+
+def test_default_modulus_matches_full_search():
+    cases = [(p, k) for p in range(2, 1 << 10) if is_prime(p)
+             for k in range(1, 11) if p ** k <= 1 << 10]
+    assert (2, 10) in cases and (31, 2) in cases and (1021, 1) in cases
+    for p, k in cases:
+        assert default_modulus(p, k) == _least_irreducible(p, k), (p, k)

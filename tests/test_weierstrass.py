@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from weiersem import (BiPoly, InconsistencyError, PreconditionError,
-                      ValuedFunction, l_basis, parse_poly, reduce_step,
-                      semigroup_at_infinity, triangulate, valuation)
+                      ValuedFunction, l_basis, parse_field, parse_poly,
+                      reduce_step, semigroup_at_infinity, triangulate,
+                      valuation)
+from weiersem.polynomials import _exact_quotients
+from weiersem.weierstrass import _strip_common_content, _x_content
 
 
 def test_golden_added_values(golden_report):
@@ -252,3 +257,50 @@ def test_function_for_rule_matches_definition(case, golden_seq,
     for m in (0, report.gamma.conductor, bound):
         assert l_basis(table, m) == \
             [table.function_for(r) for r in report.gamma.elements(m)]
+
+
+def _strip_by_both_contents(num, den):
+    """_strip_common_content as the gcd of both X-contents, taken always."""
+    g = _x_content(num).gcd(_x_content(den))
+    if g.degree >= 1:
+        f = num.field
+        num, den = (BiPoly.from_y_coeffs(f, _exact_quotients(
+            P.rows, g.coeffs, f)) for P in (num, den))
+    return num, den
+
+
+@pytest.mark.parametrize("field_text", ["GF(2)", "GF(5)", "GF(2^2)",
+                                        "GF(3^2)"])
+def test_strip_common_content_matches_both_contents(field_text):
+    field = parse_field(field_text)
+    rng = random.Random(field.order)
+
+    def rand(dx, dy):
+        return BiPoly(field, {(i, j): rng.randrange(field.order)
+                              for i in range(dx + 1) for j in range(dy + 1)
+                              if rng.random() < 0.6})
+
+    def x_factor():
+        out = BiPoly.one(field)
+        for _ in range(rng.randrange(3)):
+            out = out * BiPoly(field, {(1, 0): 1,
+                                       (0, 0): rng.randrange(field.order)})
+        return out
+
+    kinds = {"one": 0, "unit": 0, "content": 0}
+    for _ in range(60):
+        common = x_factor()
+        num = common * x_factor() * rand(2, 3)
+        kind = rng.choice(list(kinds))
+        if kind == "one":
+            den = BiPoly.one(field)
+        elif kind == "unit":
+            den = BiPoly(field, {(0, 0): rng.randrange(1, field.order)})
+        else:
+            den = common * x_factor() * rand(2, 2)
+        if num.is_zero() or den.is_zero():
+            continue
+        kinds[kind] += 1
+        assert _strip_common_content(num, den) == \
+            _strip_by_both_contents(num, den)
+    assert min(kinds.values()) > 0
