@@ -16,7 +16,7 @@ from .parsing import parse_field, parse_generators, parse_poly, parse_rational
 from .polynomials import NEG_INF, BiPoly, UniPoly, resultant_y
 from .semigroups import NumericalSemigroup, Q0Result, TelescopicStructure
 from .weierstrass import (FunctionTable, TriangulationReport, ValuedFunction,
-                          function_for, l_basis, reduce_step, triangulate)
+                          l_basis, reduce_step, triangulate)
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "UniPoly", "Valuation", "ValuedFunction", "WeiersemError",
     "am_sequence", "analyze", "approximate_root", "bidim_syndrome",
     "build_code", "default_modulus", "distance_bound_table",
-    "enumerate_points", "function_for", "in_code", "known_syndromes",
-    "l_basis", "min_distance_exact", "normalize_degree",
+    "enumerate_points", "in_code", "known_syndromes", "l_basis",
+    "min_distance_exact", "normalize_degree",
     "one_branch_criterion", "parametrize", "parse_field", "parse_generators",
     "parse_poly", "parse_rational", "reduce_step", "resultant_y",
     "semigroup_at_infinity", "triangulate", "valuation",

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import FieldElement
-from .polynomials import BiPoly, UniPoly, resultant_y, _list_mul, _ser_inv
+from .polynomials import BiPoly, resultant_y, _list_mul, _pure_power_root, \
+    _ser_inv
 
 PRECISION_CEILING = 1 << 16     # most series terms a branch may carry
 
@@ -69,34 +70,6 @@ def _ser_horner(coeffs, x, field, prec):
 
 
 # -- tangent detection -----------------------------------------------------
-
-def _pure_power_root(coeffs, mu, field):
-    """If sum c_j w^j equals c*(w - lam)^mu, return lam, else None.
-
-    Characteristic-aware: with mu = p^a * m' (p not dividing m'), the
-    coefficient of w^(mu - p^a) pins lam^(p^a), and the Frobenius is
-    inverted by x -> x^(q/p)."""
-    cs = UniPoly(field, coeffs).coeffs
-    if len(cs) - 1 != mu:
-        return None
-    p, q = field.p, field.order
-    a = 0
-    m_prime = mu
-    while m_prime % p == 0:
-        m_prime //= p
-        a += 1
-    c_top = cs[-1]
-    idx = mu - p ** a
-    sub = cs[idx] if idx >= 0 else 0
-    # sub = c_top * m' * (-lam^(p^a))
-    lam_pa = field.neg(field.div(sub, field.mul(c_top, field.from_int(m_prime))))
-    lam = lam_pa
-    for _ in range(a):
-        lam = field.pow_rep(lam, q // p)
-    # verify exactly
-    check = (UniPoly(field, (field.neg(lam), 1)) ** mu).scale(c_top)
-    return lam if check.coeffs == cs else None
-
 
 @dataclass(frozen=True)
 class _Step:

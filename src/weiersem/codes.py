@@ -5,19 +5,20 @@ row per basis function of L(mP), evaluated at rational points enumerated
 over a chosen extension field.  Three kernels carry it.  The point scan
 lifts F, its partials and the polynomials to avoid into that field once,
 swapped when deg_X F < deg_Y F, specializes the variable of higher degree
-once per value and runs Horner in the other at each candidate, then sorts
-the points by (x, y).  The rows are products: every basis function is
-base * h_e^l (`FunctionTable.factors`), so each distinct base and h_e is
-evaluated at the points once (`_values`), and every other row is the
-previous row of its base times the h_e row, entry by entry.  The basis is
-ordered by pole order, so the rows of C(m) are a prefix of the rows of
-C(m') for every m <= m': one forward elimination of the largest matrix,
-over logs where the field has tables, gives the rank of every C(m) at
-once.  Only `_nullspace` back-substitutes, for the exhaustive minimum
-distance; its rows and the codeword sums of `min_distance_exact` are
-`_list_mul` multiply-adds, so basis rows have no trailing zeros.
-Designed distances combine the Goppa bound with the Feng-Rao distance of
-the Weierstrass semigroup.
+once per value and calls the field's bound `horner` in the other at each
+candidate, then sorts the points by (x, y).  The rows are products: every
+basis function is base * h_e^l (`FunctionTable.factors`), so each
+distinct base and h_e is evaluated at the points once (`_values`, one
+`BiPoly.eval_rep` per point: `horner` on each row, then across them), and
+every other row is the previous row of its base times the h_e row, entry
+by entry.  The basis is ordered by pole order, so the rows of C(m) are a
+prefix of the rows of C(m') for every m <= m': one forward elimination of
+the largest matrix, over logs where the field has tables, gives the rank
+of every C(m) at once.  Only `_nullspace` back-substitutes, for the
+exhaustive minimum distance; its rows and the codeword sums of
+`min_distance_exact` are `_list_mul` multiply-adds, so basis rows have no
+trailing zeros.  Designed distances combine the Goppa bound with the
+Feng-Rao distance of the Weierstrass semigroup.
 """
 
 import itertools
@@ -156,20 +157,21 @@ def enumerate_points(model, ext_field, avoid=(), include_singular=False):
     if swap:
         polys = [P.swap_xy() for P in polys]
     F, Fu, Fv, *avoid = (P.lift(ext_field, embed) for P in polys)
+    horner = ext_field.horner
     line = range(ext_field.order)
     pts = []
     for u in line:
-        f = F.specialize_x(u)
-        zeros = [v for v in line if not f.eval_rep(v)]
+        f = F.specialize_x(u).coeffs
+        zeros = [v for v in line if not horner(f, v)]
         if not zeros:
             continue
-        fu, fv = Fu.specialize_x(u), Fv.specialize_x(u)
-        avoid_u = [a.specialize_x(u) for a in avoid]
+        fu, fv, *avoid_u = (P.specialize_x(u).coeffs
+                            for P in (Fu, Fv, *avoid))
         for v in zeros:
             if not include_singular:
-                if fu.eval_rep(v) == 0 and fv.eval_rep(v) == 0:
+                if horner(fu, v) == 0 and horner(fv, v) == 0:
                     continue
-            if any(a.eval_rep(v) == 0 for a in avoid_u):
+            if any(horner(a, v) == 0 for a in avoid_u):
                 continue
             pts.append((v, u) if swap else (u, v))
     pts.sort()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import HypothesisError, InputError, InconsistencyError, PreconditionError
 from .fields import LOG_TABLE_LIMIT, power
 from .polynomials import DEGREE_LIMIT, NEG_INF, TABLELESS_DEGREE_LIMIT, \
-    BiPoly, resultant_y, _list_mul, _rows_mul
+    BiPoly, resultant_y, _list_mul, _pure_power_root, _rows_mul
 from .semigroups import TelescopicStructure
 
 
@@ -56,7 +56,6 @@ def _tilt(G):
     Such a model has its infinite point at (1:lam:0); the shear
     Y -> Y + lam*X moves it to (1:0:0), the position the approximate-root
     iteration expects."""
-    from .branch import _pure_power_root
     D = int(G.total_degree)
     if D < 2 or G.deg_y != D:
         return 0

@@ -9,8 +9,19 @@ addition are O(1) lookups: a*b = g^(log a + log b) and
 a + b = g^(log a + Z[log b - log a]).  Characteristic 2 adds by XOR, and
 prime fields use the native modulus operator, which is faster than any
 table.  The choice is made once per field, here: `FiniteField.__init__`
-binds the field's add, sub, neg, mul, inv and pow_rep, so no call tests
-the kind of field and no other module makes the choice again.
+binds the field's add, sub, neg, mul, inv and pow_rep, and `horner`, the
+one evaluation of a rep list at a rep, on which every point value is
+computed: over logs where the field has tables, on the bound add and mul
+otherwise.  Four kernels still choose by kind, because there the kind
+changes the algorithm, not one operation: the log and Kronecker branches
+of `polynomials._list_mul` (logs of each operand taken once, or GF(p)
+operands packed into big integers), the Newton gate of
+`polynomials._divmod_rows` (Newton inversion pays only where `_list_mul`
+packs, over GF(p)), the log-encoded pivot rows of
+`codes._forward_eliminate` (each pivot row taken to logs once, for every
+row it reduces), and the tableless cap of `curves.normalize_degree` (a
+field without tables multiplies digit by digit, so its degree cap is
+lower).
 
 `write_sum` is the one writer of printed sums of products, the
 counterpart of the reader in `parsing`: field elements as t-polynomials
@@ -101,9 +112,9 @@ def default_modulus(p, k):
 
 
 class FiniteField:
-    """GF(p^k) with a fixed monic irreducible modulus over GF(p)."""
+    """GF(p^k) with the monic irreducible modulus default_modulus(p, k)."""
 
-    def __init__(self, p, k=1, modulus=None):
+    def __init__(self, p, k=1):
         if k < 1:
             raise InputError("extension degree must be >= 1")
         # before is_prime, whose trial division of a large p would not end
@@ -115,19 +126,9 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p ** k
-        if modulus is not None:
-            modulus = tuple(modulus)
-            if (len(modulus) != k + 1 or modulus[-1] != 1
-                    or not all(0 <= c < p for c in modulus)):
-                raise InputError("modulus must be monic of degree k, "
-                                 "with coefficients in 0..p-1")
-            if k > 1 and not _is_irreducible(modulus, p):
-                raise InputError("modulus is not irreducible")
-        if k == 1:
-            # the rep is the residue: a linear modulus never enters arithmetic
-            self.modulus = (0, 1)
-        else:  # default_modulus is irreducible by its search
-            self.modulus = modulus or default_modulus(p, k)
+        # for k = 1 the rep is the residue and the modulus never enters
+        # arithmetic; default_modulus(p, 1) would build GF(p) to find it
+        self.modulus = default_modulus(p, k) if k > 1 else (0, 1)
         self._log = self._exp = self._zech = None
         if k > 1 and self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
@@ -202,7 +203,8 @@ class FiniteField:
 
     def _bind_arithmetic(self):
         """Bind add, sub, neg, mul, inv and pow_rep for the field's kind:
-        prime, characteristic 2, odd p with Zech tables, or no tables.
+        prime, characteristic 2, odd p with Zech tables, or no tables; and
+        horner, over logs with tables, else on the bound add and mul.
         Equality, hashing and FieldElement never read these attributes."""
         p, q, log, exp, zech = self.p, self.order, self._log, self._exp, self._zech
         if self.k == 1:
@@ -249,8 +251,25 @@ class FiniteField:
         def pow_rep(a, e):
             return pow_nat(a, e) if e >= 0 else pow_nat(inv(a), -e)
 
+        # horner(coeffs, x) = sum coeffs[i] * x^i, from the top; with log
+        # tables each step acc*x is one exp lookup at log(acc) + log(x)
+        if log is None:
+            def horner(coeffs, x):
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = add(mul(acc, x), c)
+                return acc
+        else:
+            def horner(coeffs, x):
+                if not x:
+                    return coeffs[0] if coeffs else 0
+                acc, lx = 0, log[x]
+                for c in reversed(coeffs):
+                    acc = add(exp[log[acc] + lx], c) if acc else c
+                return acc
+
         self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
-        self.inv, self.pow_rep = inv, pow_rep
+        self.inv, self.pow_rep, self.horner = inv, pow_rep, horner
 
     def encode(self, coeffs):
         v = 0
@@ -301,24 +320,23 @@ class FiniteField:
         if other.p != self.p or other.k % self.k != 0:
             raise PreconditionError(
                 f"no embedding GF({self.p}^{self.k}) -> GF({other.p}^{other.k})")
-        from .polynomials import UniPoly
-        modulus = UniPoly(other, self.modulus)
+        horner = other.horner
         root = next((c for c in range(other.order)
-                     if modulus.eval_rep(c) == 0), None)
+                     if horner(self.modulus, c) == 0), None)
         if root is None:
             raise InconsistencyError("modulus has no root in the extension")
-        return lambda rep: UniPoly(other, self.decode(rep)).eval_rep(root)
+        return lambda rep: horner(self.decode(rep), root)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and self.p == other.p
-                and self.k == other.k and self.modulus == other.modulus)
+                and self.k == other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     def __reduce__(self):
         # pickled by its arguments: the bound operations are closures
-        return FiniteField, (self.p, self.k, self.modulus)
+        return FiniteField, (self.p, self.k)
 
     def __repr__(self):
         if self.k == 1:

@@ -21,10 +21,13 @@ GF(p) from `_NEWTON_CUTOFF` on and by the schoolbook loop otherwise:
 the one Y-division, the pseudo-remainder, and is `BiPoly.divmod_y` for a
 divisor monic in Y.
 `BiPoly.substitute_binomial` is the one linear change of variables
-(X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  A
-value at a point is the one Horner `UniPoly.eval_rep` (over logs, where
-the field has tables); a bivariate polynomial is first specialized at X
-(`BiPoly.specialize_x`, the same Horner on each row).
+(X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  Every value
+at a point is the field's bound `horner` (`fields`): `UniPoly.eval_rep`
+is one call, `BiPoly.specialize_x` one call per row, and
+`BiPoly.eval_rep` one per row in X, then one in Y.
+`_pure_power_root` is the one test that sum c_j w^j is c*(w - lam)^mu,
+for the tangent cones and the point at infinity in `branch` and the tilt
+in `curves`.
 Every repr is one call to the one writer `fields.write_sum`, with
 coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
@@ -265,20 +268,8 @@ class UniPoly:
         return self.scale(self.field.inv(self.lc))
 
     def eval_rep(self, x):
-        """The one Horner kernel: value at a field rep x; with log tables
-        each step acc*x is one exp lookup at log(acc) + log(x)."""
-        f = self.field
-        acc = 0
-        log, add = f._log, f.add
-        if log is not None and x:
-            exp, lx = f._exp, log[x]
-            for c in reversed(self.coeffs):
-                acc = add(exp[log[acc] + lx], c) if acc else c
-            return acc
-        mul = f.mul
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, x), c)
-        return acc
+        """Value at a field rep x: the field's bound `horner`."""
+        return self.field.horner(self.coeffs, x)
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.field == other.field
@@ -292,6 +283,34 @@ class UniPoly:
         return write_sum([((e,), f.format_coeff(c))
                           for e, c in reversed(list(enumerate(self.coeffs)))
                           if c], (self.var,))
+
+
+def _pure_power_root(coeffs, mu, field):
+    """If sum c_j w^j equals c*(w - lam)^mu, return lam, else None.
+
+    Characteristic-aware: with mu = p^a * m' (p not dividing m'), the
+    coefficient of w^(mu - p^a) pins lam^(p^a), and the Frobenius is
+    inverted by x -> x^(q/p)."""
+    cs = UniPoly(field, coeffs).coeffs
+    if len(cs) - 1 != mu:
+        return None
+    p, q = field.p, field.order
+    a = 0
+    m_prime = mu
+    while m_prime % p == 0:
+        m_prime //= p
+        a += 1
+    c_top = cs[-1]
+    idx = mu - p ** a
+    sub = cs[idx] if idx >= 0 else 0
+    # sub = c_top * m' * (-lam^(p^a))
+    lam_pa = field.neg(field.div(sub, field.mul(c_top, field.from_int(m_prime))))
+    lam = lam_pa
+    for _ in range(a):
+        lam = field.pow_rep(lam, q // p)
+    # verify exactly
+    check = (UniPoly(field, (field.neg(lam), 1)) ** mu).scale(c_top)
+    return lam if check.coeffs == cs else None
 
 
 class BiPoly:
@@ -464,29 +483,14 @@ class BiPoly:
                                         if j])
 
     def specialize_x(self, x):
-        """P(x, Y) as a UniPoly in Y: the `UniPoly.eval_rep` Horner per row."""
-        f = self.field
-        log, add = f._log, f.add
-        out = []
-        if log is not None and x:
-            exp, lx = f._exp, log[x]
-            for row in self.rows:
-                acc = 0
-                for c in reversed(row):
-                    acc = add(exp[log[acc] + lx], c) if acc else c
-                out.append(acc)
-        else:
-            mul = f.mul
-            for row in self.rows:
-                acc = 0
-                for c in reversed(row):
-                    acc = add(mul(acc, x), c)
-                out.append(acc)
-        return UniPoly(f, out, "Y")
+        """P(x, Y) as a UniPoly in Y: the field's `horner` on each row."""
+        h = self.field.horner
+        return UniPoly(self.field, [h(row, x) for row in self.rows], "Y")
 
     def eval_rep(self, x, y):
-        """Value at the point (x, y): specialize X, then Horner in Y."""
-        return self.specialize_x(x).eval_rep(y)
+        """Value at the point (x, y): `horner` in X on each row, then in Y."""
+        h = self.field.horner
+        return h([h(row, x) for row in self.rows], y)
 
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and self.field == other.field

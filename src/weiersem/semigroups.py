@@ -97,7 +97,7 @@ class NumericalSemigroup:
         return cls(pivot, _apery_by_dijkstra(pivot, gens), gens)
 
     @classmethod
-    def from_apery(cls, e, apery, gens=None):
+    def from_apery(cls, e, apery):
         apery = list(apery)
         if len(apery) != e or apery[0] != 0:
             raise PreconditionError("Apery array must have length e, a_0 = 0")
@@ -109,12 +109,10 @@ class NumericalSemigroup:
                 if ai + aj < apery[(i + j) % e]:
                     raise PreconditionError(
                         f"Apery array not closed: a_{i}+a_{j} < a_{(i+j) % e}")
-        if gens is None:
-            # a minimal generator other than e is the least of its class
-            S = cls(e, apery, ())
-            gens = sorted(q for q in {e, *apery}
-                          if S.is_irreducible_element(q))
-        return cls(e, apery, gens)
+        # a minimal generator other than e is the least of its class
+        S = cls(e, apery, ())
+        return cls(e, apery, sorted(q for q in {e, *apery}
+                                    if S.is_irreducible_element(q)))
 
     # -- basic structure --------------------------------------------------
 

@@ -247,10 +247,6 @@ def triangulate(s_infinity, am_functions, integral_basis, oracle):
                                genus=genus, table=table)
 
 
-def function_for(table, r):
-    return table.function_for(r)
-
-
 def l_basis(table, m):
     """One function per pole order r in Gamma with 0 <= r <= m."""
     if m < 0:

@@ -433,13 +433,17 @@ _WEIERSTRASS, _LBASIS = ["weierstrass"], ["lbasis", "--m", "10"]
     pytest.param(_LBASIS, 4, id="lbasis-4"),
     pytest.param(_WEIERSTRASS, 9, id="weierstrass-9"),
     pytest.param(_LBASIS, 9, id="lbasis-9"),
+    pytest.param(_WEIERSTRASS, 70, id="weierstrass-70"),
+    pytest.param(_LBASIS, 70, id="lbasis-70"),
 ])
 def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
                                        command, ceiling):
     """A valuation of a basis element that needs more terms than the
-    ceiling is a precondition failure, not an inconsistent basis; so is a
-    ceiling (4 or 9 terms) at or below the pole order 9 of v(t) on the
-    golden curve, which the start precision must exceed."""
+    ceiling is a precondition failure, not an inconsistent basis, whether
+    it stops at the first valuation of a basis element (64) or inside its
+    reduction (70); so is a ceiling (4 or 9 terms) at or below the pole
+    order 9 of v(t) on the golden curve, which the start precision must
+    exceed."""
     monkeypatch.setattr(branch, "PRECISION_CEILING", ceiling)
     code, text = _run(command + ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
                                  "--integral-basis", basis_file])
@@ -451,3 +455,5 @@ def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
     assert re.search(rf"\bceiling {ceiling}\b", err)
     if ceiling == 64:
         assert "valuation needs precision 67 beyond the ceiling 64" in err
+    if ceiling == 70:
+        assert "valuation needs precision 76 beyond the ceiling 70" in err
