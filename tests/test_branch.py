@@ -205,6 +205,49 @@ def test_start_precision_exceeds_pole_order(monkeypatch, field_text, curve):
     assert (param.precision, param.pole_order) == (D + 1, D)
 
 
+# the nonzero entries among the first D + 1 coefficients of u and v, and
+# (order, leading rep) of eight seeded probes of bidegree <= (3, 3)
+SERIES_PIN = {
+    ('GF(2^2)', 'Y^2+Y+X^3'): ({6: 1}, {9: 1},
+        [(-36, 3), (-36, 3), (-33, 3), (-36, 1), (-33, 2), (-27, 3), (-33, 2), (-36, 1)]),
+    ('GF(3^2)', 'Y^3+Y+X^4'): ({4: 1}, {8: 2},
+        [(-36, 1), (-32, 7), (-28, 6), (-32, 1), (-32, 2), (-36, 4), (-36, 4), (-36, 7)]),
+    ('GF(2^4)', 'Y^4+Y+X^5'): ({10: 1}, {15: 1},
+        [(-55, 7), (-60, 8), (-45, 13), (-60, 5), (-50, 9), (-55, 10), (-55, 9), (-55, 9)]),
+    ('GF(2)', 'Y^8+Y^2+X^3'): ({6: 1, 7: 1, 8: 1, 9: 1}, {9: 1},
+        [(-33, 1), (-30, 1), (-30, 1), (-27, 1), (-27, 1), (-33, 1), (-33, 1), (-33, 1)]),
+    ('GF(3)', 'Y^9+X^10+X^2'): ({10: 1}, {20: 2},
+        [(-80, 1), (-90, 1), (-29, 2), (-70, 1), (-90, 2), (-80, 1), (-90, 2), (-80, 2)]),
+    ('GF(2)', 'Y^16+X^5+X^3+1'): ({20: 1}, {25: 1},
+        [(-85, 1), (-90, 1), (-85, 1), (-50, 1), (-85, 1), (-90, 1), (-85, 1), (-85, 1)]),
+    ('GF(2^2)', 'X^5+Y^3+[t]'): ({2: 1}, {5: 1},
+        [(-21, 1), (-21, 3), (-19, 2), (-19, 2), (-19, 3), (-15, 2), (-18, 3), (-24, 1)]),
+}
+
+
+@pytest.mark.parametrize("field_text, curve", SERIES_CURVES)
+def test_parametrization_pin(field_text, curve):
+    """The series and the probe valuations of each SERIES_CURVES branch, as
+    recorded before the blowup chain moved to one orientation: a change of
+    chart, step or Newton orientation must leave them all unchanged."""
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    param = parametrize(model)
+    D = param.pole_order
+    u_pin, v_pin, probes_pin = SERIES_PIN[(field_text, curve)]
+    assert {i: c for i, c in enumerate(param.u[:D + 1]) if c} == u_pin
+    assert {i: c for i, c in enumerate(param.v[:D + 1]) if c} == v_pin
+    rng = random.Random(curve)
+    probes = []
+    for _ in range(8):
+        g = _random_poly(rng, field, 3, 3)
+        if g.is_zero() or g.divmod_y(model.equation)[1].is_zero():
+            continue
+        v = valuation(param, g)
+        probes.append((v.order, v.leading.rep))
+    assert probes == probes_pin
+
+
 def test_parametrization_annihilates_equation(golden_model, golden_param):
     """Substituting the series into the local equation vanishes to the
     working precision (checked internally; re-assert via the public API by
