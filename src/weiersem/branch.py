@@ -3,11 +3,18 @@
 The unique point at infinity is detected from the degree form, moved to
 the origin of the matching affine chart, and the branch germ is resolved
 by a chain of quadratic transforms (the blowup form of a Hamburger-Noether
-expansion, valid in any characteristic).  At the terminal smooth point the
-branch is expanded by formal Newton iteration, and the series are folded
-back through the chain.  Valuations of rational functions are then exact
-orders of truncated power series, with exact leading coefficients; for
-polynomials the resultant degree provides an independent backend.
+expansion, valid in any characteristic).  The chain has one orientation:
+a step is either the blowup (u, v) <- (u, u*(v + lam)) or SWAP,
+(u, v) <- (v, u).  One tangent-cone test, `polynomials._tangent_cone`,
+reads the steps off a form: [lam] for c*(Y - lam*X)^mu and
+[SWAP, 0, SWAP] for c*X^mu.  It classifies the degree-D form at infinity
+(chart 'y' is chart 'x' of F with X and Y swapped) and the lowest form at
+every blowup centre.  At the terminal smooth point a SWAP makes v a
+function of u, the branch is expanded as v(t) at u = t by formal Newton
+iteration, and the series are folded back through the chain.  Valuations
+of rational functions are then exact orders of truncated power series,
+with exact leading coefficients; for polynomials the resultant degree
+provides an independent backend.
 
 The chart map and every blowup are calls of the one substitution
 primitive `BiPoly.substitute_binomial`, every series product and every
@@ -31,8 +38,8 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import FieldElement
-from .polynomials import BiPoly, resultant_y, _list_mul, _pure_power_root, \
-    _ser_inv
+from .polynomials import SWAP, BiPoly, resultant_y, _list_mul, \
+    _ser_inv, _tangent_cone
 
 PRECISION_CEILING = 1 << 16     # most series terms a branch may carry
 
@@ -69,70 +76,14 @@ def _ser_horner(coeffs, x, field, prec):
     return acc
 
 
-# -- tangent detection -----------------------------------------------------
-
-@dataclass(frozen=True)
-class _Step:
-    kind: str   # 'v': (u,v) <- (u, u*(v+lam));  'u': (u,v) <- (v*u, v)
-    lam: int
-
-
-def _tangent_step(G, field):
-    mu = min(i + j for i, j in G.terms)
-    coeffs = G.form_coeffs(mu)
-    if mu == 0:
-        raise InconsistencyError("blowup center is not on the curve")
-    if mu == 1:
-        return mu, None
-    deg = max((j for j, c in enumerate(coeffs) if c), default=None)
-    if deg == 0:
-        return mu, _Step("u", 0)
-    lam = _pure_power_root(coeffs, mu, field)
-    if lam is None:
-        raise PreconditionError(
-            "more than one branch (or a non-rational branch) detected "
-            "during the expansion at infinity")
-    return mu, _Step("v", lam)
-
-
-def _blowup(G, step, mu):
-    if step.kind == "v":
-        return G.substitute_binomial(
-            step.lam, lambda i, j: j, lambda i, j, r: (i + j - mu, r))
-    return G.substitute_binomial(
-        0, lambda i, j: 0, lambda i, j, r: (i, i + j - mu))
-
-
 # -- infinity chart --------------------------------------------------------
 
-def _infinity_chart(F):
-    """Locate the single rational point at infinity.
-
-    Returns (chart, lam): chart 'x' is X=1 with the point at (1:lam:0);
-    chart 'y' is Y=1 with the point at (0:1:0)."""
-    field = F.field
-    D = int(F.total_degree)
-    coeffs = F.form_coeffs(D)
-    deg = max(j for j, c in enumerate(coeffs) if c)
-    if deg == D:
-        lam = _pure_power_root(coeffs, D, field)
-        if lam is None:
-            raise PreconditionError("the curve does not have a single "
-                                    "rational point at infinity")
-        return "x", lam
-    if deg == 0:
-        return "y", 0
-    raise PreconditionError("the curve does not have a single rational "
-                            "point at infinity")
-
-
-def _local_equation(F, chart, lam):
-    """Dehomogenization at the infinite point, center moved to the origin:
-    chart 'x': G(u,v) = F*(1, lam+u, v); chart 'y': G(u,v) = F*(u, 1, v)."""
+def _local_equation(F, lam):
+    """Dehomogenization at (1:lam:0), center moved to the origin:
+    G(u,v) = F*(1, lam+u, v)."""
     D = int(F.total_degree)
     return F.substitute_binomial(
-        lam, (lambda i, j: j) if chart == "x" else (lambda i, j: i),
-        lambda i, j, r: (r, D - i - j))
+        lam, lambda i, j: j, lambda i, j, r: (r, D - i - j))
 
 
 # -- the branch parametrization --------------------------------------------
@@ -155,31 +106,41 @@ class BranchParam:
         F = model.equation
         self.field = F.field
         D = int(F.total_degree)
-        self.chart, self.lam = _infinity_chart(F)
-        G = _local_equation(F, self.chart, self.lam)
+        # chart 'x' is X = 1 with the point at (1:lam:0); chart 'y' is
+        # Y = 1 with the point at (0:1:0), chart 'x' of F with X, Y swapped
+        cone = _tangent_cone(F.form_coeffs(D), D, self.field,
+                             "the curve does not have a single rational "
+                             "point at infinity")
+        self.chart, self.lam = ("y", 0) if cone[0] is SWAP else ("x", cone[0])
+        G = _local_equation(F.swap_xy() if self.chart == "y" else F, self.lam)
         steps = []
         guard = 4 * D * D + 16
         while True:
-            mu, step = _tangent_step(G, self.field)
-            if step is None:
+            mu = min(i + j for i, j in G.terms)
+            if mu == 0:
+                raise InconsistencyError("blowup center is not on the curve")
+            if mu == 1:
                 break
-            steps.append(step)
-            G = _blowup(G, step, mu)
+            for step in _tangent_cone(
+                    G.form_coeffs(mu), mu, self.field,
+                    "more than one branch (or a non-rational branch) "
+                    "detected during the expansion at infinity"):
+                steps.append(step)
+                G = G.swap_xy() if step is SWAP else G.substitute_binomial(
+                    step, lambda i, j: j, lambda i, j, r: (i + j - mu, r))
             if G.coeff(0, 0) != 0:
                 raise InconsistencyError("strict transform missed the "
                                          "expected center")
             guard -= 1
             if guard < 0:
                 raise InconsistencyError("blowup chain failed to terminate")
+        # the terminal point is smooth (mu = 1); if G_v(0,0) = 0 then
+        # G_u(0,0) != 0, and a SWAP makes v a function of u
+        if G.coeff(0, 1) == 0:
+            steps.append(SWAP)
+            G = G.swap_xy()
         self._steps = steps
         self._Gterm = G
-        cu, cv = G.coeff(1, 0), G.coeff(0, 1)
-        if cv != 0:
-            self._mode = "v_of_u"
-        elif cu != 0:
-            self._mode = "u_of_v"
-        else:  # pragma: no cover
-            raise InconsistencyError("terminal point is not smooth")
         # P is the only place at infinity, so by Bezout the line at
         # infinity meets the branch there D times: ord_t v(t) = D
         self.pole_order = D
@@ -189,12 +150,10 @@ class BranchParam:
     # -- series construction ------------------------------------------
 
     def _newton_solve(self, prec):
-        """Expand the smooth terminal branch: the unknown coordinate as a
-        series in the parameter coordinate t."""
+        """Expand the smooth terminal branch: v as a series s in the
+        parameter u = t; returns (t, s)."""
         field = self.field
         G = self._Gterm
-        if self._mode == "u_of_v":
-            G = G.swap_xy()
         # the Y-coefficients of G are polynomials in t, i.e. series in t
         rows = G.rows
         drows = G.derivative_y().rows
@@ -222,17 +181,13 @@ class BranchParam:
                 f"v(t) of pole order {D} needs precision {D + 1} beyond "
                 f"the ceiling {PRECISION_CEILING}")
         field = self.field
-        t_series, s = self._newton_solve(prec)
-        if self._mode == "v_of_u":
-            u, v = t_series, s
-        else:
-            u, v = s, t_series
+        u, v = self._newton_solve(prec)
         for step in reversed(self._steps):
-            if step.kind == "v":
-                shifted = _list_mul([step.lam], [1], field, prec, v)
-                v = _list_mul(u, shifted, field, prec)
+            if step is SWAP:
+                u, v = v, u
             else:
-                u = _list_mul(v, u, field, prec)
+                shifted = _list_mul([step], [1], field, prec, v)
+                v = _list_mul(u, shifted, field, prec)
         self.u = u
         self.v = v
         self.precision = prec
@@ -266,14 +221,15 @@ class BranchParam:
     def _pullback(self, g):
         """Series of v^d * g(X, Y) along the branch, d = total degree of g."""
         field = self.field
+        if self.chart == "y":
+            g = g.swap_xy()
         d = int(g.total_degree)
         prec = self.precision
         acc = []
         for j, row in enumerate(g.rows):
             for i, c in enumerate(row):
                 if c:
-                    term = self._power(self._pow_a, self._a,
-                                       j if self.chart == "x" else i)
+                    term = self._power(self._pow_a, self._a, j)
                     if d - i - j:
                         term = _list_mul(term, self._power(
                             self._pow_b, self.v, d - i - j), field, prec)

@@ -3,10 +3,14 @@
 The entry point is normalize_degree, which brings an affine curve equation
 into the monic-in-Y position required by the approximate-root machinery
 (applying X -> X + Y^k when the characteristic divides deg_Y), then
-am_sequence runs the approximate-root iteration and one_branch_criterion
-decides whether the curve has a single rational branch at infinity.  When
-it has, semigroup_at_infinity returns S_P, generated by the pole orders
-delta_0..delta_h of the approximate roots, as a TelescopicStructure.
+am_sequence runs the approximate-root iteration from F_1 = App_m(F) and
+one_branch_criterion tests whether the curve has a single rational branch
+at infinity.  The test is necessary, not sufficient: a "yes" curve may
+still have several places over its one point at infinity, and the branch
+expansion (`branch.parametrize`, hence `weierstrass`, `lbasis` and `code`)
+then refuses it with PreconditionError.  On a "yes", semigroup_at_infinity
+returns S_P, generated by the pole orders delta_0..delta_h of the
+approximate roots, as a TelescopicStructure.
 """
 
 import math
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from .errors import HypothesisError, InputError, InconsistencyError, PreconditionError
 from .fields import LOG_TABLE_LIMIT, power
 from .polynomials import DEGREE_LIMIT, NEG_INF, TABLELESS_DEGREE_LIMIT, \
-    BiPoly, resultant_y, _list_mul, _pure_power_root, _rows_mul
+    BiPoly, resultant_y, _list_mul, _pure_power_root, _rows_mul, \
+    _tangent_cone
 from .semigroups import TelescopicStructure
 
 
@@ -185,7 +190,10 @@ def am_sequence(model):
     deltas = [m]
     roots = [BiPoly.x(fld)]
     d_list = [m]
-    root = BiPoly.y(fld)
+    # F_1 = App_m(F) = Y + a_1/m, a_1 the Y^(m-1) row of F; a constant
+    # changes no positive pole order, so its constant term is dropped
+    root = approximate_root(F, m)
+    root = BiPoly.from_y_coeffs(fld, [[0] + root.rows[0][1:]] + root.rows[1:])
     while True:
         prev_d = d_list[-1]
         delta = resultant_y(F, root).degree
@@ -221,9 +229,11 @@ def one_branch_criterion(seq):
     """Decide whether the curve has a single rational branch at infinity.
 
     Checks, in order: d_{h+1} = 1; the strict chain
-    delta_1 d_1 > ... > delta_h d_h; and n_i delta_i in
+    delta_1 d_1 > ... > delta_h d_h; n_i delta_i in
     <delta_0, ..., delta_{i-1}>, which building the TelescopicStructure
-    of S_P decides.  The chain is empty for h <= 1.
+    of S_P decides; and one point at infinity, the degree form of the
+    model a power of one linear form (`polynomials._tangent_cone`, the
+    test `branch` applies there).  The chain is empty for h <= 1.
     """
     h = seq.h
     if seq.d[-1] != 1:
@@ -237,6 +247,10 @@ def one_branch_criterion(seq):
                        f"<= delta_{i+1}*d_{i+1} = {rhs}")
     try:
         s_p = TelescopicStructure(seq.delta)
+        F = seq.model.equation
+        D = int(F.total_degree)
+        _tangent_cone(F.form_coeffs(D), D, F.field, "the curve does not "
+                      "have a single rational point at infinity")
     except PreconditionError as exc:
         return CriterionVerdict(False, str(exc))
     return CriterionVerdict(True, s_p=s_p)

@@ -25,9 +25,11 @@ divisor monic in Y.
 at a point is the field's bound `horner` (`fields`): `UniPoly.eval_rep`
 is one call, `BiPoly.specialize_x` one call per row, and
 `BiPoly.eval_rep` one per row in X, then one in Y.
-`_pure_power_root` is the one test that sum c_j w^j is c*(w - lam)^mu,
-for the tangent cones and the point at infinity in `branch` and the tilt
-in `curves`.
+`_tangent_cone` is the one test that a form is a power of one linear
+form, and names the blowup steps for its tangent: `branch` applies it at
+infinity and at every blowup centre, and `curves` in the one-branch
+verdict.  It and the tilt in `curves` call `_pure_power_root`, the test
+that sum c_j w^j is c*(w - lam)^mu.
 Every repr is one call to the one writer `fields.write_sum`, with
 coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
@@ -44,7 +46,7 @@ import sys
 from array import array
 from itertools import zip_longest
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, PreconditionError
 from .fields import FieldElement, power, write_sum
 
 NEG_INF = float("-inf")
@@ -311,6 +313,24 @@ def _pure_power_root(coeffs, mu, field):
     # verify exactly
     check = (UniPoly(field, (field.neg(lam), 1)) ** mu).scale(c_top)
     return lam if check.coeffs == cs else None
+
+
+SWAP = "swap"   # the blowup-chain step (u, v) <- (v, u)
+
+
+def _tangent_cone(coeffs, mu, field, message):
+    """The blowup-chain steps for a centre whose lowest form is
+    sum c_j X^(mu-j) Y^j: [lam] for c*(Y - lam*X)^mu, the tangent
+    Y = lam*X, which the blowup (u, v) <- (u, u*(v + lam)) resolves, and
+    [SWAP, 0, SWAP] for c*X^mu, the tangent X = 0.  Any other form (more
+    than one tangent, or one that is not rational) raises
+    PreconditionError(message)."""
+    if not any(coeffs[1:]):
+        return [SWAP, 0, SWAP]
+    lam = _pure_power_root(coeffs, mu, field)
+    if lam is None:
+        raise PreconditionError(message)
+    return [lam]
 
 
 class BiPoly:

@@ -227,9 +227,9 @@ SERIES_PIN = {
 
 @pytest.mark.parametrize("field_text, curve", SERIES_CURVES)
 def test_parametrization_pin(field_text, curve):
-    """The series and the probe valuations of each SERIES_CURVES branch, as
-    recorded before the blowup chain moved to one orientation: a change of
-    chart, step or Newton orientation must leave them all unchanged."""
+    """The leading series coefficients and the probe valuations of each
+    SERIES_CURVES branch are pinned: how the chart, the blowup steps and
+    the Newton expansion are oriented must not change them."""
     field = parse_field(field_text)
     model = normalize_degree(parse_poly(curve, field))
     param = parametrize(model)

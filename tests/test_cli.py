@@ -77,6 +77,50 @@ def test_curve_analyze_chain_failure_exit_2():
             "delta_2*d_2 = 219\n") in text
 
 
+EMPTY_BASIS = os.path.join(os.path.dirname(__file__), "data", "cli_golden",
+                           "empty_basis.txt")
+
+
+@pytest.mark.parametrize("field, curve, s_p, genus", [
+    ("GF(5)", "Y^2+2*X^3*Y+X^6+X", "<2,1>", 0),
+    ("GF(3)", "Y^2+X^3*Y+2*Y+X^6", "<2,3>", 1),
+])
+def test_one_branch_read_from_the_approximate_root(field, curve, s_p, genus):
+    """F_1 is App_m(F) = Y + a_1/m: with a_1 not constant, F_1 = Y would
+    give d_1 = 2 and refuse these curves, which have one place at
+    infinity."""
+    code, text = _run(["curve", "analyze", "--field", field, "--curve", curve])
+    assert code == 0
+    assert "one_branch: yes\n" in text and "reason:" not in text
+    assert f"S_P: {s_p}\n" in text
+    code, text = _run(["weierstrass", "--field", field, "--curve", curve,
+                       "--integral-basis", EMPTY_BASIS])
+    assert code == 0
+    assert f"S_P: {s_p}\n" in text
+    assert f"genus: {genus}\n" in text
+
+
+@pytest.mark.parametrize("field, curve, reason", [
+    # degree form X^2*(X+Y): two points at infinity
+    ("GF(5)", "Y^2+X^2*Y+X^3", "d_1 = 2 != 1"),
+    # degree form X^3*Y^3: four places at infinity, and delta = 5,3
+    ("GF(7)", "Y^5+5*X^3*Y^3+6*X^3",
+     "the curve does not have a single rational point at infinity"),
+    ("GF(100003)", "Y^5-2*X^3*Y^3-X^3",
+     "the curve does not have a single rational point at infinity"),
+])
+def test_one_branch_refused_with_points_at_infinity(field, curve, reason):
+    code, text = _run(["curve", "analyze", "--field", field, "--curve", curve])
+    assert code == 2
+    assert "one_branch: no\n" in text
+    assert f"reason: {reason}\n" in text
+    assert "S_P:" not in text
+    code, text = _run(["weierstrass", "--field", field, "--curve", curve,
+                       "--integral-basis", EMPTY_BASIS])
+    assert code == 2
+    assert "S_P:" not in text and "genus:" not in text
+
+
 def test_semigroup_fengrao_row():
     code, text = _run(["semigroup", "fengrao", "--gens", "6,10,15",
                        "--m", "30"])

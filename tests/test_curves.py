@@ -7,8 +7,9 @@ from weiersem import (AMSequence, BiPoly, HypothesisError, InputError,
                       NumericalSemigroup, PreconditionError,
                       TelescopicStructure, am_sequence, approximate_root,
                       normalize_degree, one_branch_criterion, parse_field,
-                      parse_poly, semigroup_at_infinity)
-from weiersem.polynomials import DEGREE_LIMIT, TABLELESS_DEGREE_LIMIT
+                      parametrize, parse_poly, resultant_y,
+                      semigroup_at_infinity)
+from weiersem.polynomials import DEGREE_LIMIT, NEG_INF, TABLELESS_DEGREE_LIMIT
 from weiersem.semigroups import format_gens
 
 from conftest import random_semigroup_gens, random_telescopic, scaled_member
@@ -252,6 +253,57 @@ def test_two_linear_branches_rejected():
     seq = am_sequence(normalize_degree(parse_poly("Y^2-3*X*Y+2*X^2+1", F7)))
     verdict = one_branch_criterion(seq)
     assert not verdict.one_branch
+
+
+VERDICT_FIELDS = [parse_field(f) for f in
+                  ("GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2)", "GF(3^2)")]
+
+
+def _power_of_one_linear_form(F):
+    """Whether the degree form of F is c*X^D or c*(Y - lam*X)^D, trying
+    every lam of the field."""
+    field = F.field
+    D = int(F.total_degree)
+    form = F.form_coeffs(D)
+    if not any(form[1:]):
+        return True
+    y, x = BiPoly.y(field), BiPoly.x(field)
+    return any(((y - x.scale(lam)) ** D).scale(form[-1]).form_coeffs(D) == form
+               for lam in range(field.order))
+
+
+def test_verdict_agrees_with_the_branch():
+    """On random monic curves a "no" is refused by the branch expansion,
+    and a "yes" has one point at infinity: its degree form is a power of
+    one linear form.  The criterion is necessary, not sufficient, so a
+    "yes" may still be refused by the branch.  A non-reduced F, with
+    Res_Y(F, F_Y) = 0, is not expanded: it is outside the curves the
+    branch resolves, and on (Y + 2*X^3)^2 over GF(5), drawn here, the
+    chain guard stops with InconsistencyError."""
+    rng = random.Random(2)
+    yes = no = 0
+    for _ in range(1500):
+        field = rng.choice(VERDICT_FIELDS)
+        m = rng.randint(2, 5)
+        terms = {(0, m): 1}
+        for _ in range(rng.randint(1, 4)):
+            terms[(rng.randint(0, 6), rng.randint(0, m - 1))] = \
+                rng.randrange(1, field.order)
+        terms.setdefault((rng.randint(1, 6), 0), rng.randrange(1, field.order))
+        try:
+            model = normalize_degree(BiPoly(field, terms))
+            verdict = one_branch_criterion(am_sequence(model))
+        except PreconditionError:
+            continue
+        F = model.equation
+        if verdict:
+            yes += 1
+            assert _power_of_one_linear_form(F), repr(F)
+        elif resultant_y(F, F.derivative_y()).degree != NEG_INF:
+            no += 1
+            with pytest.raises(PreconditionError):
+                parametrize(model)
+    assert yes > 200 and no > 600
 
 
 # -- semigroup_at_infinity ---------------------------------------------------------
