@@ -19,13 +19,13 @@ provides an independent backend.
 The chart map and every blowup are calls of the one substitution
 primitive `BiPoly.substitute_binomial`, every series product and every
 sum of products is the one coefficient-list multiply-add
-`polynomials._list_mul`, truncated, and every reciprocal is the one Newton
-series inverse `polynomials._ser_inv`.  Every polynomial is evaluated at
-series in one of two ways, each where it is cheaper: the Newton step runs
-`_ser_horner`, a baby-step/giant-step (Paterson-Stockmeyer) evaluation,
-over the Y-coefficients of G and G_s, which are already series in t; the
-local-equation check and the valuations pull back through `_pullback`,
-which keeps cached powers of the chart coordinates.
+`polynomials._list_mul`, truncated, and every reciprocal is lifted by the one
+Newton-inverse step `polynomials._ser_inv_step`.  Every polynomial is
+evaluated at series in one of two ways, each where it is cheaper: the
+Newton step runs `_ser_horner`, a baby-step/giant-step (Paterson-Stockmeyer)
+evaluation, over the Y-coefficients of G and G_s, which are already series
+in t; the local-equation check and the valuations pull back through
+`_pullback`, by Horner in v, to only as many terms as its caller reads.
 
 A series truncated to prec terms is a rep list of at most prec entries,
 the entries past its end zero: exactly what `_list_mul(a, b, field, prec)`
@@ -39,7 +39,7 @@ from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import FieldElement
 from .polynomials import SWAP, BiPoly, resultant_y, _list_mul, \
-    _ser_inv, _tangent_cone
+    _ser_inv_step, _tangent_cone
 
 PRECISION_CEILING = 1 << 16     # most series terms a branch may carry
 
@@ -96,7 +96,7 @@ class Valuation:
 
 class BranchParam:
     """Truncated parametrization (u(t), v(t)) of the branch at infinity in
-    the local chart; refinable; single-threaded use (internal caches).
+    the local chart; `refine` extends u, v and `precision` in place.
 
     u and v hold at most `precision` coefficients each; the coefficients
     past their ends, up to `precision`, are zero."""
@@ -131,9 +131,16 @@ class BranchParam:
             if G.coeff(0, 0) != 0:
                 raise InconsistencyError("strict transform missed the "
                                          "expected center")
+            # each centre of multiplicity mu >= 2 lowers the delta
+            # invariant of a reduced germ by mu*(mu - 1)/2 >= 1, and a
+            # reduced plane curve of degree D has delta <= D*(D - 1)/2
+            # at P ((D - 1)*(D - 2)/2 if irreducible), below the guard: a
+            # chain that outruns it follows a repeated component
             guard -= 1
             if guard < 0:
-                raise InconsistencyError("blowup chain failed to terminate")
+                raise PreconditionError(
+                    "the curve is not reduced: the blowup chain at "
+                    "infinity never reaches a smooth point")
         # the terminal point is smooth (mu = 1); if G_v(0,0) = 0 then
         # G_u(0,0) != 0, and a SWAP makes v a function of u
         if G.coeff(0, 1) == 0:
@@ -151,7 +158,13 @@ class BranchParam:
 
     def _newton_solve(self, prec):
         """Expand the smooth terminal branch: v as a series s in the
-        parameter u = t; returns (t, s)."""
+        parameter u = t; returns (t, s).
+
+        A doubling from cur to new terms sets s <- s - G(s)/G_s(s).  As
+        G(s) = O(t^cur), G_s(s) and its inverse h are read only to
+        m = new - cur <= cur terms, and h, carried from the last doubling,
+        is lifted by one Newton-inverse step (Brent and Kung, JACM 25
+        (1978))."""
         field = self.field
         G = self._Gterm
         # the Y-coefficients of G are polynomials in t, i.e. series in t
@@ -159,13 +172,19 @@ class BranchParam:
         drows = G.derivative_y().rows
         minus_one = [field.neg(1)]
         s = []
+        h, k = [field.inv(G.coeff(0, 1))], 1     # 1/G_s(s) to k terms
         cur = 1
         while cur < prec:
-            cur = min(2 * cur, prec)
-            g_at = _ser_horner(rows, s, field, cur)
-            gs_at = _ser_horner(drows, s, field, cur)
-            corr = _list_mul(g_at, _ser_inv(gs_at, field, cur), field, cur)
-            s = _list_mul(corr, minus_one, field, cur, s)
+            new = min(2 * cur, prec)
+            m = new - cur
+            if m > k:
+                h = _ser_inv_step(_ser_horner(drows, s, field, m), h, k, m,
+                                  field)
+                k = m
+            e = _ser_horner(rows, s, field, new)[cur:]
+            corr = _list_mul(e, h[:m], field, m)
+            s = _list_mul([0] * cur + corr, minus_one, field, new, s)
+            cur = new
         if any(_ser_horner(rows, s, field, prec)):
             raise InconsistencyError("terminal Newton expansion failed")
         return [0, 1], s
@@ -191,11 +210,8 @@ class BranchParam:
         self.u = u
         self.v = v
         self.precision = prec
-        self._pow_a = [[1]]
-        self._pow_b = [[1]]
-        self._a = _list_mul([self.lam], [1], field, prec, u)
         # v^D * F(X, Y) along the branch is the local equation G0(u, v)
-        if any(self._pullback(self.model.equation)[0]):
+        if any(self._pullback(self.model.equation, prec)):
             raise InconsistencyError("parametrization does not annihilate "
                                      "the local equation")
         if _ser_ord(v) != D:
@@ -210,31 +226,31 @@ class BranchParam:
             return
         self._compute_series(precision)
 
-    def _power(self, cache, base, e):
-        while len(cache) <= e:
-            cache.append(_list_mul(cache[-1], base, self.field,
-                                   self.precision))
-        return cache[e]
-
     # -- pullbacks and valuations --------------------------------------
 
-    def _pullback(self, g):
-        """Series of v^d * g(X, Y) along the branch, d = total degree of g."""
+    def _pullback(self, g, prec):
+        """First prec terms of the series of v^d * g(X, Y) along the
+        branch, d the total degree of g (prec <= precision).  With
+        a = lam + u it is sum_e S_e * v^e, S_e the sum of c_ij * a^j over
+        i + j = d - e, taken by Horner in v."""
         field = self.field
         if self.chart == "y":
             g = g.swap_xy()
         d = int(g.total_degree)
-        prec = self.precision
+        rows = g.rows
+        v = self.v[:prec]
+        a = _list_mul([self.lam], [1], field, prec, self.u)
+        pow_a = [[1]]
+        for _ in range(1, len(rows)):
+            pow_a.append(_list_mul(pow_a[-1], a, field, prec))
         acc = []
-        for j, row in enumerate(g.rows):
-            for i, c in enumerate(row):
-                if c:
-                    term = self._power(self._pow_a, self._a, j)
-                    if d - i - j:
-                        term = _list_mul(term, self._power(
-                            self._pow_b, self.v, d - i - j), field, prec)
-                    acc = _list_mul(term, [c], field, prec, acc)
-        return acc, d
+        for e in range(d, -1, -1):
+            acc = _list_mul(acc, v, field, prec)
+            for j, row in enumerate(rows):
+                i = d - e - j
+                if 0 <= i < len(row) and row[i]:
+                    acc = _list_mul(pow_a[j], [row[i]], field, prec, acc)
+        return acc
 
     def valuation_poly(self, g):
         """(order, leading coeff) of a nonzero polynomial reduced mod F."""
@@ -253,7 +269,7 @@ class BranchParam:
                         f"valuation needs precision {needed} beyond the "
                         f"ceiling {PRECISION_CEILING}")
             self.refine(target)
-        series, d = self._pullback(g)
+        series = self._pullback(g, d * self.pole_order + 1)
         o = _ser_ord(series)
         if o is None or o > d * self.pole_order:
             raise InconsistencyError(

@@ -6,14 +6,16 @@ single kernels carry the polynomial arithmetic: `_list_mul` is the one
 coefficient-list multiply-add c + a*b, optionally truncated (every sum,
 difference, negation and scaling, row by row for BiPoly; the UniPoly
 product, hence the Rabin test in `fields`; the series products and sums of
-products in `branch`; the Newton series inverse `_ser_inv` and its step;
-every division below; the back-substitution and codeword sums in `codes`);
-over GF(p) it packs long operands and c into big integers
-(`_kronecker_mul`), and over GF(p^k) with log tables it multiplies over the
-logs of the nonzero coefficients, taken once per operand.  `_rows_mul`,
-the BiPoly product, is one `_list_mul` of the rows laid end to end, cut to
-n rows when asked (`curves.approximate_root`).  Kernels call the field's
-bound `add` and `mul`, whose kind of arithmetic `fields` picks once per field.
+products in `branch`; the Newton-inverse step `_ser_inv_step`, which
+builds the series inverse `_ser_inv` and lifts the inverse carried by the
+Newton expansion in `branch`; every division below; the back-substitution
+and codeword sums in `codes`); over GF(p) it packs long operands and c
+into big integers (`_kronecker_mul`), and over GF(p^k) with log tables
+it multiplies over the logs of the nonzero coefficients, taken once per
+operand.  `_rows_mul`, the BiPoly product, is one `_list_mul` of the rows
+laid end to end, cut to n rows when asked (`curves.approximate_root`).
+Kernels call the field's bound `add` and `mul`, whose kind of arithmetic
+`fields` picks once per field.
 There is one division per ring, on rows.  `_divmod_rows` is the one
 X-division of rows by one X-polynomial, by a shared Newton inverse over
 GF(p) from `_NEWTON_CUTOFF` on and by the schoolbook loop otherwise:
@@ -168,20 +170,27 @@ def _list_mul(a, b, field, trunc=None, c=()):
     return _trim(out)
 
 
+def _ser_inv_step(a, g, k, k2, field):
+    """The Newton-inverse step: 1/a to k2 terms from g = 1/a to k terms,
+    k < k2 <= 2k, as g*(2 - a*g) mod X^k2.  Since a*g = 1 + X^k*e mod
+    X^k2, this is g - X^k*(g*e): a truncated product and a truncated
+    multiply-add, both `_list_mul` calls.  Only a's first k2 terms are
+    read."""
+    e = _list_mul(a[:k2], g, field, k2)[k:]
+    corr = _list_mul(g, e, field, k2 - k)
+    return _list_mul(corr, [0] * k + [field.neg(1)], field, k2, g)
+
+
 def _ser_inv(a, field, prec):
     """First prec coefficients of 1/a for a unit series a, by Newton
-    doubling g <- g*(2 - a*g) mod X^(2k).  Since a*g = 1 + X^k*e mod
-    X^(2k), this is g - X^k*(g*e): a truncated product and a truncated
-    multiply-add, both `_list_mul` calls."""
+    doubling: `_ser_inv_step` from 1 term to prec."""
     if not a or a[0] == 0:
         raise InconsistencyError("series reciprocal of a non-unit")
     g = [field.inv(a[0])]
     k = 1
     while k < prec:
         k2 = min(2 * k, prec)
-        e = _list_mul(a[:k2], g, field, k2)[k:]
-        corr = _list_mul(g, e, field, k2 - k)
-        g = _list_mul(corr, [0] * k + [field.neg(1)], field, k2, g)
+        g = _ser_inv_step(a, g, k, k2, field)
         k = k2
     return g[:prec]
 

@@ -6,9 +6,9 @@ from weiersem import (BiPoly, FiniteField, InconsistencyError,
                       PreconditionError, branch, normalize_degree,
                       parse_field, parse_poly, parse_rational, parametrize,
                       valuation, valuation_by_resultant)
-from weiersem.branch import _ser_horner
+from weiersem.branch import _ser_horner, _ser_ord
 from weiersem.errors import PrecisionCeilingError
-from weiersem.polynomials import _KRONECKER_CUTOFF, _list_mul
+from weiersem.polynomials import _KRONECKER_CUTOFF, _list_mul, _ser_inv
 
 F5 = parse_field("GF(5)")
 F7 = parse_field("GF(7)")
@@ -248,6 +248,109 @@ def test_parametrization_pin(field_text, curve):
     assert probes == probes_pin
 
 
+def _reference_newton_solve(param, prec):
+    """The Newton loop with a fresh full-length inverse of G_s(s) at every
+    doubling, read at full length too: s <- s - G(s)/G_s(s) mod t^cur."""
+    field = param.field
+    rows = param._Gterm.rows
+    drows = param._Gterm.derivative_y().rows
+    s = []
+    cur = 1
+    while cur < prec:
+        cur = min(2 * cur, prec)
+        g_at = _ser_horner(rows, s, field, cur)
+        gs_at = _ser_horner(drows, s, field, cur)
+        corr = _list_mul(g_at, _ser_inv(gs_at, field, cur), field, cur)
+        s = _list_mul(corr, [field.neg(1)], field, cur, s)
+    return [0, 1], s
+
+
+@pytest.mark.parametrize("field_text, curve", SERIES_CURVES)
+def test_newton_against_full_length_inverse(monkeypatch, field_text, curve):
+    """The Newton expansion, which lifts 1/G_s(s) by one Newton-inverse
+    step to the half length each doubling reads, gives u and v equal entry
+    for entry to the loop that inverts G_s(s) afresh at full length: at
+    the start precision, and after a refine to a length that is not a
+    power of two."""
+    model = normalize_degree(parse_poly(curve, parse_field(field_text)))
+    param = parametrize(model)
+    monkeypatch.setattr(branch.BranchParam, "_newton_solve",
+                        _reference_newton_solve)
+    ref = parametrize(model)
+    assert (param.u, param.v) == (ref.u, ref.v)
+    target = param.precision + 3 * param.pole_order
+    param.refine(target)
+    ref.refine(target)
+    assert param.precision == ref.precision == target
+    assert (param.u, param.v) == (ref.u, ref.v)
+
+
+def _full_pullback_reading(param, g):
+    """(order, leading rep) of g along the branch from its pullback at the
+    full precision: the order of the series of v^d * g, less d*D."""
+    field, D = param.field, param.pole_order
+    d = int(g.total_degree)
+    series = param._pullback(g, param.precision)
+    o = _ser_ord(series)
+    return o - d * D, field.div(series[o], field.pow_rep(param.v[D], d))
+
+
+@pytest.mark.parametrize("field_text, curve", [
+    ("GF(2^2)", "Y^2+Y+X^3"),
+    ("GF(3^2)", "Y^3+Y+X^4"),
+    ("GF(2)", "Y^8+Y^2+X^3"),
+    ("GF(7)", "Y^3+X^5+2*X"),
+    ("GF(2^2)", "X^5+Y^3+[t]"),       # chart y
+])
+def test_truncated_pullback_against_full_precision(field_text, curve):
+    """valuation reads the pullback of g to d*D + 1 terms only.  On seeded
+    probes of total degree up to 4*D - 1, where d*D + 1 nears the start
+    precision 4*D^2, on a power of X or Y, and on quotients of probes, its
+    (order, leading) equals the reading of the pullback at full precision,
+    and for the polynomial probes the order is minus the resultant
+    degree."""
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    F = model.equation
+    param = parametrize(model)
+    D, start = param.pole_order, param.precision
+    m = len(F.rows) - 1
+    rng = random.Random(f"{field_text}:{curve}")
+
+    def probe(d):
+        # total degree d, in a monomial of deg_Y < deg_Y F, so that
+        # reduction mod F leaves the probe as it is
+        dy = rng.randint(0, min(m - 1, d))
+        terms = {(i, j): rng.randrange(field.order)
+                 for i in range(d + 1) for j in range(min(m - 1, d - i) + 1)
+                 if rng.random() < 0.3}
+        terms[(d - dy, dy)] = rng.randrange(1, field.order)
+        return BiPoly(field, terms)
+
+    top = 4 * D - 1
+    # first a reduced power of the coordinate of least pole order, whose
+    # first nonzero pullback term lies deepest into the d*D + 1 terms read
+    x, y = BiPoly.x(field), BiPoly.y(field)
+    low_y = valuation(param, y).order > valuation(param, x).order
+    low = y ** min(m - 1, top) if low_y else x ** top
+    for g in [low] + [probe(d) for d in [top] + [rng.randint(1, top)
+                                                 for _ in range(3)]]:
+        v = valuation(param, g)
+        assert (v.order, v.leading.rep) == _full_pullback_reading(param, g)
+        try:
+            r = valuation_by_resultant(model, g)
+        except PreconditionError:
+            continue
+        assert -v.order == r
+    for _ in range(3):
+        num, den = probe(rng.randint(1, top)), probe(rng.randint(1, top))
+        v = valuation(param, num, den)
+        (on, cn), (od, cd) = (_full_pullback_reading(param, num),
+                              _full_pullback_reading(param, den))
+        assert (v.order, v.leading.rep) == (on - od, field.div(cn, cd))
+    assert param.precision == start     # no probe made the branch refine
+
+
 def test_parametrization_annihilates_equation(golden_model, golden_param):
     """Substituting the series into the local equation vanishes to the
     working precision (checked internally; re-assert via the public API by
@@ -271,6 +374,15 @@ def test_precision_clamped_at_ceiling(monkeypatch, cusp_model):
     assert param.precision == 36
     assert valuation(param, BiPoly.x(F5) ** 11).order == -22
     assert param.precision == 40
+
+
+def test_non_reduced_curve_refused():
+    """(Y + 2*X^3)^2 over GF(5) has a double component: the blowup chain
+    never reaches a smooth point and runs out of its guard, which a reduced
+    curve cannot do."""
+    model = normalize_degree(parse_poly("Y^2+4*X^3*Y+4*X^6", F5))
+    with pytest.raises(PreconditionError, match="the curve is not reduced"):
+        parametrize(model)
 
 
 def test_multibranch_detected():

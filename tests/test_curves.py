@@ -277,11 +277,10 @@ def test_verdict_agrees_with_the_branch():
     and a "yes" has one point at infinity: its degree form is a power of
     one linear form.  The criterion is necessary, not sufficient, so a
     "yes" may still be refused by the branch.  A non-reduced F, with
-    Res_Y(F, F_Y) = 0, is not expanded: it is outside the curves the
-    branch resolves, and on (Y + 2*X^3)^2 over GF(5), drawn here, the
-    chain guard stops with InconsistencyError."""
+    Res_Y(F, F_Y) = 0, is refused by the branch whatever the verdict:
+    (Y + 2*X^3)^2 over GF(5), drawn here, runs out of the chain guard."""
     rng = random.Random(2)
-    yes = no = 0
+    yes = no = non_reduced = 0
     for _ in range(1500):
         field = rng.choice(VERDICT_FIELDS)
         m = rng.randint(2, 5)
@@ -296,14 +295,17 @@ def test_verdict_agrees_with_the_branch():
         except PreconditionError:
             continue
         F = model.equation
+        reduced = resultant_y(F, F.derivative_y()).degree != NEG_INF
         if verdict:
             yes += 1
             assert _power_of_one_linear_form(F), repr(F)
-        elif resultant_y(F, F.derivative_y()).degree != NEG_INF:
+        else:
             no += 1
+        if not verdict or not reduced:
+            non_reduced += not reduced
             with pytest.raises(PreconditionError):
                 parametrize(model)
-    assert yes > 200 and no > 600
+    assert yes > 200 and no > 600 and non_reduced > 0
 
 
 # -- semigroup_at_infinity ---------------------------------------------------------
