@@ -10,10 +10,13 @@ products in `branch`; the Newton-inverse step `_ser_inv_step`, which
 builds the series inverse `_ser_inv` and lifts the inverse carried by the
 Newton expansion in `branch`; every division below; the back-substitution
 and codeword sums in `codes`); over GF(p) it packs long operands and c
-into big integers (`_kronecker_mul`), and over GF(p^k) with log tables
-it multiplies over the logs of the nonzero coefficients, taken once per
-operand.  `_rows_mul`, the BiPoly product, is one `_list_mul` of the rows
-laid end to end, cut to n rows when asked (`curves.approximate_root`).
+into big integers (`_kronecker_mul`), reps of p < 256 as bytes, and
+reduces the product by `bytes.translate` on whole byte planes where their
+sum fits a byte, otherwise one coefficient at a time.  Over GF(p^k) with
+log tables it multiplies over the logs of the nonzero coefficients, taken
+once per operand.  `_rows_mul`, the BiPoly product, is one `_list_mul` of
+the rows laid end to end, cut to n rows when asked
+(`curves.approximate_root`).
 Kernels call the field's bound `add` and `mul`, whose kind of arithmetic
 `fields` picks once per field.
 There is one division per ring, on rows.  `_divmod_rows` is the one
@@ -42,6 +45,7 @@ calls for every field, and each exact division of the chain is one
 sentinel -inf, which the callers rely on as the common-factor signal.
 """
 
+import functools
 import math
 import operator
 import sys
@@ -57,7 +61,9 @@ NEG_INF = float("-inf")
 # model, may have; not user-settable, like fields.ORDER_LIMIT.  Measured on
 # `curve analyze` of Y^m+X^7 over GF(2) and GF(5), m = 400..850 in steps of
 # 10 and m = 845 (2-vCPU Xeon, Python 3.11): every model of deg_Y <= 850
-# took at most 3.7 s, the slowest Y^845+X^7 over GF(5) (deg_Y 847).
+# took at most 3.7 s, the slowest Y^845+X^7 over GF(5) (deg_Y 847), which
+# takes 2.3-2.5 s since `_kronecker_mul` reduces whole byte planes (two runs
+# on the same machine).
 DEGREE_LIMIT = 850
 # The deg_Y cap over GF(p^k), k > 1, of order above fields.LOG_TABLE_LIMIT,
 # where each coefficient product is a schoolbook product of base-p digits.
@@ -67,6 +73,12 @@ DEGREE_LIMIT = 850
 # running); deg_Y 119 over GF(2^17) took 6.8 s and 301 (Y^300+X^7) 185 s.
 TABLELESS_DEGREE_LIMIT = 112
 
+# Product length len(a)*len(b) from which `_list_mul` over GF(p) multiplies
+# by `_kronecker_mul`.  With byte buffers that beats the schoolbook loop from
+# about 8 over GF(2) and GF(5) and 16-32 over GF(101) (in-process, with an
+# addend), but a cutoff of 16 measured no faster than 64 on the `analyze` and
+# `pipeline-prime` benchmarks (0.263 against 0.267 s and 0.115 against
+# 0.117 s, medians of three alternating 8 s runs), so it stays at 64.
 _KRONECKER_CUTOFF = 64
 # Quotient length * divisor length from which `_divmod_rows` over GF(p)
 # divides by Newton inversion.  Over GF(2), GF(5) and GF(101) it beat the
@@ -85,11 +97,19 @@ def _kronecker_mul(a, b, p, n_out, c=()):
     GF(p), p prime, by packing them into one big integer each (exact;
     fast for long operands).
 
-    A slot is the narrowest array item of 1, 2, 4 or 8 bytes that holds
-    min(len)*(p-1)^2, plus p-1 when there is an addend c, so packing and
-    unpacking are whole-buffer array conversions.  Eight bytes always
-    suffice: p <= 2^20 (ORDER_LIMIT) and no operand reaches 2^24
-    coefficients."""
+    A slot is the narrowest of 1, 2, 4 or 8 bytes that holds
+    min(len)*(p-1)^2, plus p-1 when there is an addend c.  Eight bytes
+    always suffice: p <= 2^20 (ORDER_LIMIT) and no operand reaches 2^24
+    coefficients.  For p < 256 every rep is one byte, packed by `_pack`
+    into the low byte of its slot, and the product is reduced a byte plane
+    at a time: a slot's value is sum b_k*256^k, so byte plane k of the
+    product is mapped by one `bytes.translate` to b_k*256^k mod p
+    (`_byte_planes`), the planes are added as big integers, which no carry
+    crosses while their count times p-1 is below 256, and the sum is
+    reduced by one more translate.  For p = 2 only the low plane is left,
+    and the reduction is that one strided translate.  Every other slot, and
+    every slot for p >= 256, is read as an array item and reduced one
+    value at a time."""
     bound = min(len(a), len(b)) * (p - 1) * (p - 1)
     if c:
         bound += p - 1
@@ -99,23 +119,57 @@ def _kronecker_mul(a, b, p, n_out, c=()):
     else:
         raise InconsistencyError(
             f"Kronecker slot overflow: {bound} needs more than 8 bytes")
-    prod = _pack(a, tc) * _pack(b, tc)
+    prod = _pack(a, p, width, tc) * _pack(b, p, width, tc)
     if c:
-        prod += _pack(c, tc)
-    out = array(tc)
-    out.frombytes(prod.to_bytes(max(len(a) + len(b) - 1, len(c)) * width,
-                                "little")[:n_out * width])
-    if _BIG_ENDIAN:
-        out.byteswap()
-    return [v % p for v in out]
+        prod += _pack(c, p, width, tc)
+    raw = prod.to_bytes(max(len(a) + len(b) - 1, len(c)) * width,
+                        "little")[:n_out * width]
+    planes = _byte_planes(p, width)
+    if planes is None:
+        # p >= 256, or a slot whose reduced planes may sum past a byte
+        out = array(tc)
+        out.frombytes(raw)
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return [v % p for v in out]
+    if len(planes) == 1:
+        k, table = planes[0]
+        return list(raw[k::width].translate(table))
+    total = 0
+    for k, table in planes:
+        total += int.from_bytes(raw[k::width].translate(table), "little")
+    return list(total.to_bytes(len(raw) // width, "little")
+                .translate(planes[0][1]))
 
 
-def _pack(a, tc):
-    """The coefficient list a as one little-endian integer of array slots."""
-    arr = array(tc, a)
-    if _BIG_ENDIAN:
-        arr.byteswap()
-    return int.from_bytes(arr.tobytes(), "little")
+def _pack(a, p, width, tc):
+    """The coefficient list a as one little-endian integer of slots of
+    `width` bytes: for p < 256 each rep a byte strided into a zeroed
+    buffer, otherwise an array of typecode tc."""
+    if p >= 256:
+        arr = array(tc, a)
+        if _BIG_ENDIAN:
+            arr.byteswap()
+        return int.from_bytes(arr.tobytes(), "little")
+    if width == 1:
+        return int.from_bytes(bytes(a), "little")
+    buf = bytearray(len(a) * width)
+    buf[::width] = bytes(a)
+    return int.from_bytes(buf, "little")
+
+
+@functools.cache
+def _byte_planes(p, width):
+    """[(k, T_k)] for the byte planes k < width of a slot whose translate
+    table T_k[b] = b*256^k mod p is not all zero (for p = 2 only k = 0;
+    T_0 is never zero), built on first use; None when p >= 256 or when
+    the reduced planes may sum past a byte."""
+    if p >= 256:
+        return None
+    tables = (bytes(b * pow(256, k, p) % p for b in range(256))
+              for k in range(width))
+    planes = [(k, t) for k, t in enumerate(tables) if any(t)]
+    return planes if len(planes) * (p - 1) < 256 else None
 
 
 def _trim(row):

@@ -111,3 +111,25 @@ def random_telescopic(rng):
             gens.append(target)
         if ok:
             return gens
+
+
+def slot_width(la, lb, p, addend=False):
+    """Bytes of the `_kronecker_mul` slot for these lengths over GF(p)."""
+    bound = min(la, lb) * (p - 1) ** 2 + (p - 1 if addend else 0)
+    return min(w for w in (1, 2, 4, 8) if bound < 256 ** w)
+
+
+def kronecker_path(la, lb, p, addend=False):
+    """(pack, unpack) path `_kronecker_mul` takes: reps of p < 256 pack
+    as bytes, into the low byte of wider slots by a strided copy, and
+    unpack by one translate of the low byte plane (p = 2, or 1-byte slots)
+    or by a sum of translated planes while their count times p-1 is below
+    256; every other slot goes through an array."""
+    width = slot_width(la, lb, p, addend)
+    if p >= 256:
+        return "array", "array"
+    pack = "bytes" if width == 1 else "strided"
+    planes = 1 if p == 2 else width
+    if planes * (p - 1) >= 256:
+        return pack, "array"
+    return pack, "one plane" if planes == 1 else "plane sum"

@@ -3,7 +3,8 @@
 The recordings in tests/data/cli_golden/*.out pin the full stdout of the
 README commands on the golden curve plus extension-field runs (among them
 the Newton expansion after blowups over GF(3^2) and the chart-y branch
-over GF(2^2)), and of the `semigroup` subcommands on symmetric and
+over GF(2^2)), prime-field runs that reach each Kronecker product path
+(`KRONECKER_PATHS`), and of the `semigroup` subcommands on symmetric and
 non-symmetric semigroups, so a refactor of the arithmetic kernels or of the
 semigroup layer cannot change any printed digit.  Re-record (only when an
 output change is intended) with
@@ -20,6 +21,8 @@ import sys
 
 import pytest
 
+from conftest import kronecker_path
+from weiersem import polynomials
 from weiersem.cli import run
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -64,6 +67,17 @@ CASES = {
                          "--curve", "Y^200+X^7"],
     "y100_gf4_analyze": ["curve", "analyze", "--field", "GF(2^2)",
                          "--curve", "Y^100+X^7"],
+    "y150_gf3_analyze": ["curve", "analyze", "--field", "GF(3)",
+                         "--curve", "Y^150+X^7"],
+    "y4_gf7_weierstrass": ["weierstrass", "--field", "GF(7)",
+                           "--curve", "Y^4+X^7+3", "--integral-basis",
+                           os.path.join(DATA, "empty_basis.txt")],
+    "y4_gf131_weierstrass": ["weierstrass", "--field", "GF(131)",
+                             "--curve", "Y^4+X^7+3", "--integral-basis",
+                             os.path.join(DATA, "empty_basis.txt")],
+    "y4_gf257_weierstrass": ["weierstrass", "--field", "GF(257)",
+                             "--curve", "Y^4+X^7+3", "--integral-basis",
+                             os.path.join(DATA, "empty_basis.txt")],
     "semigroup_stats_8_10_12_13": ["semigroup", "stats",
                                    "--gens", "8,10,12,13"],
     "semigroup_stats_6_10_15_pivot_10": ["semigroup", "stats",
@@ -90,6 +104,31 @@ def test_cli_stdout_matches_recording(name):
     assert code == 0
     with open(os.path.join(DATA, name + ".out"), "rb") as fh:
         assert text == fh.read()
+
+
+# the `_kronecker_mul` (pack, unpack) path each recording is there to pin:
+# the byte-plane sum of an odd p below 128, that sum in the branch series,
+# bytes reduced through the array, and the array path of p >= 256
+KRONECKER_PATHS = {
+    "y150_gf3_analyze": ("strided", "plane sum"),
+    "y4_gf7_weierstrass": ("strided", "plane sum"),
+    "y4_gf131_weierstrass": ("strided", "array"),
+    "y4_gf257_weierstrass": ("array", "array"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRONECKER_PATHS))
+def test_recording_reaches_its_kronecker_path(name, monkeypatch):
+    paths = set()
+    kronecker = polynomials._kronecker_mul
+
+    def recorded(a, b, p, n_out, c=()):
+        paths.add(kronecker_path(len(a), len(b), p, bool(c)))
+        return kronecker(a, b, p, n_out, c)
+
+    monkeypatch.setattr(polynomials, "_kronecker_mul", recorded)
+    assert _stdout(CASES[name])[0] == 0
+    assert KRONECKER_PATHS[name] in paths
 
 
 def test_every_recording_has_a_case():

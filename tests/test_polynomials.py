@@ -3,6 +3,7 @@ from itertools import zip_longest
 
 import pytest
 
+from conftest import kronecker_path, slot_width
 from weiersem import (BiPoly, FiniteField, InconsistencyError, NEG_INF,
                       UniPoly, am_sequence, approximate_root,
                       normalize_degree, parse_field, parse_poly, resultant_y)
@@ -224,10 +225,13 @@ def test_repr_roundtrip(gf2):
 
 
 def _naive_product(a, b, field):
+    """The double loop over the nonzero coefficients of a and b."""
     out = [0] * (len(a) + len(b) - 1)
+    nb = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+        if ai:
+            for j, bj in nb:
+                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
     return out
 
 
@@ -556,7 +560,7 @@ def test_prem_against_per_coefficient_loop(monkeypatch):
     kronecker = polynomials._kronecker_mul
 
     def recorded(a, b, p, n_out, c=()):
-        widths.add(_slot_width(len(a), len(b), p, bool(c)))
+        widths.add(slot_width(len(a), len(b), p, bool(c)))
         return kronecker(a, b, p, n_out, c)
 
     list_mul = polynomials._list_mul
@@ -627,37 +631,69 @@ def test_exact_quotients_raise_on_one_inexact_coefficient(field, lb, n,
                         chs[:i] + [bad] + chs[i + 1:], list(b.coeffs), field)
 
 
-def _slot_width(la, lb, p, addend=False):
-    bound = min(la, lb) * (p - 1) ** 2 + (p - 1 if addend else 0)
-    return min(w for w in (1, 2, 4, 8) if bound < 256 ** w)
-
-
-# (p, len a, len b, operands): every slot width, and the largest
-# coefficient min(len)*(p-1)^2 at both sides of the 1-byte bound
+# (p, len a, len b, operands): every slot width, the largest coefficient
+# min(len)*(p-1)^2 (plus p-1 for an addend) at both sides of each byte
+# bound, and every pack and unpack path.  p = 2 and 3 reach the 4-byte slot
+# only from 65536 and 16384 coefficients: those operands are sparse.
 _KRONECKER_CASES = [
     (2, 40, 70, "random"), (2, 255, 260, "max"), (2, 256, 256, "max"),
-    (2, 300, 320, "random"), (101, 4, 30, "max"), (101, 40, 60, "random"),
+    (2, 300, 320, "random"), (2, 65536, 65536, "sparse"),
+    (3, 63, 64, "max"), (3, 64, 80, "max"), (3, 200, 230, "random"),
+    (3, 16384, 16384, "sparse"),
+    (7, 7, 20, "max"), (7, 40, 50, "random"),
+    (101, 4, 30, "max"), (101, 40, 60, "random"),
+    (127, 4, 30, "max"), (127, 3, 50, "random"), (127, 30, 40, "random"),
+    (131, 3, 40, "max"), (131, 30, 40, "random"),
+    (251, 1, 70, "max"), (251, 20, 30, "random"),
+    (257, 1, 70, "max"), (257, 20, 30, "random"),
     (1048573, 20, 30, "random"), (1048573, 9, 9, "max"),
 ]
 
 
 def test_kronecker_cases_cover_every_slot_width():
-    widths = {_slot_width(la, lb, p) for p, la, lb, _ in _KRONECKER_CASES}
+    widths = {slot_width(la, lb, p) for p, la, lb, _ in _KRONECKER_CASES}
     assert widths == {1, 2, 4, 8}
+
+
+def test_kronecker_cases_cover_every_path():
+    paths = {kronecker_path(la, lb, p, addend)
+             for p, la, lb, _ in _KRONECKER_CASES for addend in (False, True)}
+    assert paths == {("bytes", "one plane"), ("strided", "one plane"),
+                     ("strided", "plane sum"), ("strided", "array"),
+                     ("array", "array")}
+    # the byte sum at its edge: two planes of p = 127 sum to 252
+    assert kronecker_path(4, 30, 127) == ("strided", "plane sum")
+
+
+def _kronecker_operand(rng, p, n, kind):
+    if kind == "max":
+        return [p - 1] * n
+    if kind == "random":
+        return [rng.randrange(p) for _ in range(n)]
+    out = [0] * n      # sparse: a few nonzero entries, the top one among them
+    for i in rng.sample(range(n - 1), 8) + [n - 1]:
+        out[i] = rng.randrange(1, p)
+    return out
 
 
 @pytest.mark.parametrize("p,la,lb,kind", _KRONECKER_CASES)
 def test_kronecker_mul_against_double_loop(p, la, lb, kind):
+    """c + a*b cut to n_out equals the double loop, for an addend c that is
+    empty, shorter than, as long as and longer than a*b, and n_out 1, half
+    of a*b, all of it and all of c."""
     field = FiniteField(p)
     rng = random.Random(f"kron:{p}:{la}:{lb}")
-    if kind == "max":
-        a, b = [p - 1] * la, [p - 1] * lb
-    else:
-        a = [rng.randrange(p) for _ in range(la)]
-        b = [rng.randrange(p) for _ in range(lb)]
+    a = _kronecker_operand(rng, p, la, kind)
+    b = _kronecker_operand(rng, p, lb, kind)
     full = _naive_product(a, b, field)
-    for n_out in (1, len(full) // 2, len(full)):
-        assert _kronecker_mul(a, b, p, n_out) == full[:n_out]
+    n = len(full)
+    # the sparse operands are long: an empty addend and the longest only
+    for lc in ((0, n // 2, n, n + 5) if kind != "sparse" else (0, n + 5)):
+        c = _kronecker_operand(rng, p, lc, kind) if lc else []
+        total = [field.add(x, y) for x, y in zip_longest(full, c, fillvalue=0)]
+        outs = (1, n // 2, n, lc) if kind != "sparse" else (n, lc)
+        for n_out in sorted(set(outs) - {0}):
+            assert _kronecker_mul(a, b, p, n_out, c) == total[:n_out]
 
 
 def _accumulate(out, key, value, field):
