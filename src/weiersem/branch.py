@@ -30,6 +30,12 @@ in t; the local-equation check and the valuations pull back through
 A series truncated to prec terms is a rep list of at most prec entries,
 the entries past its end zero: exactly what `_list_mul(a, b, field, prec)`
 and `_ser_inv` return, so no series is ever padded or re-trimmed.
+
+The branch starts at max(min(4*D^2, PRECISION_CEILING), D + 1) terms, D
+the pole order of v(t); the valuation of a polynomial of degree d reads
+d*D + 1 pullback terms, and a shorter branch grows once, to
+max(d*D + 1, min(2*precision, PRECISION_CEILING)) terms.  Only
+`_compute_series` refuses a length beyond the ceiling.
 """
 
 import math
@@ -38,8 +44,8 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, PrecisionCeilingError, \
     PreconditionError
 from .fields import FieldElement
-from .polynomials import SWAP, BiPoly, resultant_y, _list_mul, \
-    _ser_inv_step, _tangent_cone
+from .polynomials import SWAP, BiPoly, resultant_y, _infinity_cone, \
+    _list_mul, _ser_inv_step, _tangent_cone
 
 PRECISION_CEILING = 1 << 16     # most series terms a branch may carry
 
@@ -108,9 +114,7 @@ class BranchParam:
         D = int(F.total_degree)
         # chart 'x' is X = 1 with the point at (1:lam:0); chart 'y' is
         # Y = 1 with the point at (0:1:0), chart 'x' of F with X, Y swapped
-        cone = _tangent_cone(F.form_coeffs(D), D, self.field,
-                             "the curve does not have a single rational "
-                             "point at infinity")
+        cone = _infinity_cone(F)
         self.chart, self.lam = ("y", 0) if cone[0] is SWAP else ("x", cone[0])
         G = _local_equation(F.swap_xy() if self.chart == "y" else F, self.lam)
         steps = []
@@ -152,7 +156,7 @@ class BranchParam:
         # infinity meets the branch there D times: ord_t v(t) = D
         self.pole_order = D
         self.precision = 0
-        self._compute_series(min(4 * D * D, PRECISION_CEILING))
+        self._compute_series(max(min(4 * D * D, PRECISION_CEILING), D + 1))
 
     # -- series construction ------------------------------------------
 
@@ -190,15 +194,11 @@ class BranchParam:
         return [0, 1], s
 
     def _compute_series(self, prec):
-        D = self.pole_order
         if prec > PRECISION_CEILING:
             raise PrecisionCeilingError(
-                f"required precision {prec} exceeds the ceiling "
-                f"{PRECISION_CEILING}")
-        if prec <= D:
-            raise PrecisionCeilingError(
-                f"v(t) of pole order {D} needs precision {D + 1} beyond "
-                f"the ceiling {PRECISION_CEILING}")
+                f"the branch series needs precision {prec} beyond the "
+                f"ceiling {PRECISION_CEILING}")
+        D = self.pole_order
         field = self.field
         u, v = self._newton_solve(prec)
         for step in reversed(self._steps):
@@ -220,8 +220,8 @@ class BranchParam:
         self._lc_v = v[D]
 
     def refine(self, precision):
-        """Extend the series; prefixes are stable (same chain, same
-        deterministic expansion)."""
+        """Extend the series to exactly `precision` terms if that is longer;
+        prefixes are stable (same chain, same deterministic expansion)."""
         if precision <= self.precision:
             return
         self._compute_series(precision)
@@ -253,25 +253,17 @@ class BranchParam:
         return acc
 
     def valuation_poly(self, g):
-        """(order, leading coeff) of a nonzero polynomial reduced mod F."""
+        """(order, leading coeff) of a nonzero polynomial g reduced mod F,
+        read off the first d*D + 1 terms of v^d * g, d = deg g."""
         field = self.field
         d = int(g.total_degree) if not g.is_zero() else 0
-        needed = d * self.pole_order + 4
+        needed = d * self.pole_order + 1
         if needed > self.precision:
-            target = self.precision
-            while target < needed:
-                target *= 2
-            if target > PRECISION_CEILING:
-                if needed <= PRECISION_CEILING:
-                    target = PRECISION_CEILING
-                else:
-                    raise PrecisionCeilingError(
-                        f"valuation needs precision {needed} beyond the "
-                        f"ceiling {PRECISION_CEILING}")
-            self.refine(target)
-        series = self._pullback(g, d * self.pole_order + 1)
+            self.refine(max(needed, min(2 * self.precision,
+                                        PRECISION_CEILING)))
+        series = self._pullback(g, needed)
         o = _ser_ord(series)
-        if o is None or o > d * self.pole_order:
+        if o is None:
             raise InconsistencyError(
                 "pullback series vanished beyond its pole bound; "
                 "the function is zero on the branch")

@@ -344,7 +344,7 @@ def _cmd_code(args, out):
     ext, points = _points_for(args, report, model)
     if sub == "build":
         spec = build_code(report.table, points, args.m,
-                          improved=getattr(args, "improved", False))
+                          improved=args.improved)
         out.write(f"n: {spec.n}\n")
         out.write(f"k: {spec.k}\n")
         out.write(f"rank: {spec.rank}\n")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .errors import HypothesisError, InputError, InconsistencyError, PreconditionError
 from .fields import LOG_TABLE_LIMIT, power
 from .polynomials import DEGREE_LIMIT, NEG_INF, TABLELESS_DEGREE_LIMIT, \
-    BiPoly, resultant_y, _list_mul, _pure_power_root, _rows_mul, \
-    _tangent_cone
+    BiPoly, resultant_y, _infinity_cone, _list_mul, _pure_power_root, \
+    _rows_mul
 from .semigroups import TelescopicStructure
 
 
@@ -232,7 +232,7 @@ def one_branch_criterion(seq):
     delta_1 d_1 > ... > delta_h d_h; n_i delta_i in
     <delta_0, ..., delta_{i-1}>, which building the TelescopicStructure
     of S_P decides; and one point at infinity, the degree form of the
-    model a power of one linear form (`polynomials._tangent_cone`, the
+    model a power of one linear form (`polynomials._infinity_cone`, the
     test `branch` applies there).  The chain is empty for h <= 1.
     """
     h = seq.h
@@ -247,10 +247,7 @@ def one_branch_criterion(seq):
                        f"<= delta_{i+1}*d_{i+1} = {rhs}")
     try:
         s_p = TelescopicStructure(seq.delta)
-        F = seq.model.equation
-        D = int(F.total_degree)
-        _tangent_cone(F.form_coeffs(D), D, F.field, "the curve does not "
-                      "have a single rational point at infinity")
+        _infinity_cone(seq.model.equation)
     except PreconditionError as exc:
         return CriterionVerdict(False, str(exc))
     return CriterionVerdict(True, s_p=s_p)

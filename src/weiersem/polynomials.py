@@ -32,9 +32,9 @@ is one call, `BiPoly.specialize_x` one call per row, and
 `BiPoly.eval_rep` one per row in X, then one in Y.
 `_tangent_cone` is the one test that a form is a power of one linear
 form, and names the blowup steps for its tangent: `branch` applies it at
-infinity and at every blowup centre, and `curves` in the one-branch
-verdict.  It and the tilt in `curves` call `_pure_power_root`, the test
-that sum c_j w^j is c*(w - lam)^mu.
+every blowup centre, and `_infinity_cone` at infinity, for `branch` and
+for the one-branch verdict in `curves`.  It and the tilt in `curves` call
+`_pure_power_root`, the test that sum c_j w^j is c*(w - lam)^mu.
 Every repr is one call to the one writer `fields.write_sum`, with
 coefficients outside GF(p) bracketed by `FiniteField.format_coeff`.
 The Y-resultant of two bivariate polynomials is computed by Brown's
@@ -396,6 +396,15 @@ def _tangent_cone(coeffs, mu, field, message):
     return [lam]
 
 
+def _infinity_cone(F):
+    """The `_tangent_cone` steps of the degree form of F at its one
+    rational point at infinity; PreconditionError if it has none."""
+    D = int(F.total_degree)
+    return _tangent_cone(F.form_coeffs(D), D, F.field,
+                         "the curve does not have a single rational "
+                         "point at infinity")
+
+
 class BiPoly:
     """Polynomial in Y over GF(q)[X]: rows[j] is the rep list of the
     coefficient of Y^j, without trailing zeros, the top row nonempty.  Built
@@ -717,8 +726,6 @@ def resultant_y(f, g):
         fl, gl = gl, fl
         n, m = m, n
         negate = (n * m) % 2 == 1 and field.p != 2
-    if m < 0:
-        return UniPoly.zero(field)
     d = n - m
     b_sign = 1 if (d + 1) % 2 == 0 else field.neg(1)
     h = _prem(fl, gl, field)[1]

@@ -191,8 +191,9 @@ def test_series_within_precision(field_text, curve, precision):
 
 @pytest.mark.parametrize("field_text, curve", SERIES_CURVES)
 def test_start_precision_exceeds_pole_order(monkeypatch, field_text, curve):
-    """The start precision min(4*D^2, ceiling) must exceed the pole order
-    D: a ceiling of D stops the expansion, one of D + 1 suffices."""
+    """The start precision max(min(4*D^2, ceiling), D + 1) exceeds the
+    pole order D: a ceiling of D stops the expansion at the one ceiling
+    check, one of D + 1 suffices."""
     model = normalize_degree(parse_poly(curve, parse_field(field_text)))
     D = int(model.equation.total_degree)
     monkeypatch.setattr(branch, "PRECISION_CEILING", D)
@@ -295,6 +296,17 @@ def _full_pullback_reading(param, g):
     return o - d * D, field.div(series[o], field.pow_rep(param.v[D], d))
 
 
+def _reduced_probe(rng, field, m, d):
+    """A seeded polynomial of total degree d whose monomials have
+    deg_Y < m = deg_Y F, so that reduction mod F leaves it as it is."""
+    dy = rng.randint(0, min(m - 1, d))
+    terms = {(i, j): rng.randrange(field.order)
+             for i in range(d + 1) for j in range(min(m - 1, d - i) + 1)
+             if rng.random() < 0.3}
+    terms[(d - dy, dy)] = rng.randrange(1, field.order)
+    return BiPoly(field, terms)
+
+
 @pytest.mark.parametrize("field_text, curve", [
     ("GF(2^2)", "Y^2+Y+X^3"),
     ("GF(3^2)", "Y^3+Y+X^4"),
@@ -318,14 +330,7 @@ def test_truncated_pullback_against_full_precision(field_text, curve):
     rng = random.Random(f"{field_text}:{curve}")
 
     def probe(d):
-        # total degree d, in a monomial of deg_Y < deg_Y F, so that
-        # reduction mod F leaves the probe as it is
-        dy = rng.randint(0, min(m - 1, d))
-        terms = {(i, j): rng.randrange(field.order)
-                 for i in range(d + 1) for j in range(min(m - 1, d - i) + 1)
-                 if rng.random() < 0.3}
-        terms[(d - dy, dy)] = rng.randrange(1, field.order)
-        return BiPoly(field, terms)
+        return _reduced_probe(rng, field, m, d)
 
     top = 4 * D - 1
     # first a reduced power of the coordinate of least pole order, whose
@@ -351,6 +356,47 @@ def test_truncated_pullback_against_full_precision(field_text, curve):
     assert param.precision == start     # no probe made the branch refine
 
 
+@pytest.mark.parametrize("field_text, curve", SERIES_CURVES)
+def test_valuation_at_the_ceiling(monkeypatch, field_text, curve):
+    """A valuation of degree d asks for the d*D + 1 terms it reads and no
+    more.  On seeded probes, a ceiling of exactly d*D + 1 suffices, with
+    the reading of the branch at the default ceiling and minus the
+    resultant degree, and a ceiling of d*D stops it.  A valuation past
+    the precision refines once: to twice the precision, or else to the
+    ceiling."""
+    field = parse_field(field_text)
+    model = normalize_degree(parse_poly(curve, field))
+    full, default = parametrize(model), branch.PRECISION_CEILING
+    D, start = full.pole_order, full.precision
+    m = len(model.equation.rows) - 1
+    rng = random.Random(f"ceiling:{field_text}:{curve}")
+    for d in [1, rng.randint(2, D), rng.randint(D + 1, 4 * D - 1)]:
+        g = _reduced_probe(rng, field, m, d)
+        monkeypatch.setattr(branch, "PRECISION_CEILING", d * D + 1)
+        param = parametrize(model)
+        v = valuation(param, g)
+        assert param.precision == d * D + 1
+        assert (v.order, v.leading.rep) == _full_pullback_reading(full, g)
+        assert -v.order == valuation_by_resultant(model, g)
+        monkeypatch.setattr(branch, "PRECISION_CEILING", d * D)
+        with pytest.raises(PrecisionCeilingError,
+                           match=rf"needs precision {d * D + 1} beyond the "
+                                 rf"ceiling {d * D}$"):
+            valuation(parametrize(model), g)
+    refines = []
+    monkeypatch.setattr(branch.BranchParam, "refine",
+                        lambda self, p, refine=branch.BranchParam.refine:
+                        (refines.append(p), refine(self, p)))
+    x_4d = BiPoly.x(field) ** (4 * D)       # reads 4*D^2 + 1 > start terms
+    for ceiling, grown in [(default, 2 * start), (start + D, start + D)]:
+        monkeypatch.setattr(branch, "PRECISION_CEILING", ceiling)
+        param = parametrize(model)
+        refines.clear()
+        v = valuation(param, x_4d)
+        assert refines == [grown] and param.precision == grown
+        assert v.order == 4 * D * valuation(full, BiPoly.x(field)).order
+
+
 def test_parametrization_annihilates_equation(golden_model, golden_param):
     """Substituting the series into the local equation vanishes to the
     working precision (checked internally; re-assert via the public API by
@@ -361,18 +407,20 @@ def test_parametrization_annihilates_equation(golden_model, golden_param):
 def test_precision_ceiling(monkeypatch, cusp_model):
     monkeypatch.setattr(branch, "PRECISION_CEILING", 32)
     param = parametrize(cusp_model)
-    big = BiPoly.x(F5) ** 11   # needs 11 * 3 + 4 > 32 series terms
+    big = BiPoly.x(F5) ** 11   # reads 11 * 3 + 1 > 32 series terms
     with pytest.raises(PreconditionError):
         valuation(param, big)
 
 
 def test_precision_clamped_at_ceiling(monkeypatch, cusp_model):
-    """X^11 needs 37 terms; doubling from the start 4*3^2 = 36 would ask
-    for 72, so the refinement stops at the ceiling 40 instead."""
+    """X^12 reads 12*3 + 1 = 37 terms; doubling from the start 4*3^2 = 36
+    would ask for 72, so the refinement stops at the ceiling 40 instead."""
     monkeypatch.setattr(branch, "PRECISION_CEILING", 40)
     param = parametrize(cusp_model)
     assert param.precision == 36
     assert valuation(param, BiPoly.x(F5) ** 11).order == -22
+    assert param.precision == 36        # X^11 reads 34 terms: no refine
+    assert valuation(param, BiPoly.x(F5) ** 12).order == -24
     assert param.precision == 40
 
 

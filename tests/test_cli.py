@@ -471,22 +471,25 @@ _WEIERSTRASS, _LBASIS = ["weierstrass"], ["lbasis", "--m", "10"]
 
 
 @pytest.mark.parametrize("command, ceiling", [
-    pytest.param(_WEIERSTRASS, 64, id="command0"),
-    pytest.param(_LBASIS, 64, id="command1"),
+    pytest.param(_WEIERSTRASS, 63, id="command0"),
+    pytest.param(_LBASIS, 63, id="command1"),
     pytest.param(_WEIERSTRASS, 4, id="weierstrass-4"),
     pytest.param(_LBASIS, 4, id="lbasis-4"),
     pytest.param(_WEIERSTRASS, 9, id="weierstrass-9"),
     pytest.param(_LBASIS, 9, id="lbasis-9"),
     pytest.param(_WEIERSTRASS, 70, id="weierstrass-70"),
     pytest.param(_LBASIS, 70, id="lbasis-70"),
+    pytest.param(_WEIERSTRASS, 72, id="weierstrass-72"),
+    pytest.param(_LBASIS, 72, id="lbasis-72"),
 ])
 def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
                                        command, ceiling):
     """A valuation of a basis element that needs more terms than the
     ceiling is a precondition failure, not an inconsistent basis, whether
-    it stops at the first valuation of a basis element (64) or inside its
-    reduction (70); so is a ceiling (4 or 9 terms) at or below the pole
-    order 9 of v(t) on the golden curve, which the start precision must
+    it stops at the first valuation of a basis element (63, one term
+    short of the 64 it reads) or inside its reduction (70 and 72, short
+    of 73); so is a ceiling (4 or 9 terms) at or below the pole order 9
+    of v(t) on the golden curve, which the start precision must
     exceed."""
     monkeypatch.setattr(branch, "PRECISION_CEILING", ceiling)
     code, text = _run(command + ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
@@ -497,7 +500,22 @@ def test_precision_ceiling_stop_exit_2(monkeypatch, capsys, basis_file,
     assert err.startswith("error: ") and err.count("error:") == 1
     assert err.count("\n") == 1
     assert re.search(rf"\bceiling {ceiling}\b", err)
-    if ceiling == 64:
-        assert "valuation needs precision 67 beyond the ceiling 64" in err
-    if ceiling == 70:
-        assert "valuation needs precision 76 beyond the ceiling 70" in err
+    if ceiling == 63:
+        assert "needs precision 64 beyond the ceiling 63" in err
+    if ceiling in (70, 72):
+        assert f"needs precision 73 beyond the ceiling {ceiling}" in err
+
+
+@pytest.mark.parametrize("command", [_WEIERSTRASS, _LBASIS],
+                         ids=["weierstrass", "lbasis"])
+def test_precision_ceiling_at_last_term_read(monkeypatch, basis_file,
+                                             command):
+    """A ceiling of 73, the most terms a valuation on the golden curve
+    reads, suffices: the run exits 0 with the output of the default
+    ceiling."""
+    argv = command + ["--field", "GF(2)", "--curve", "Y^8+Y^2+X^3",
+                      "--integral-basis", basis_file]
+    expected = _run(argv)
+    monkeypatch.setattr(branch, "PRECISION_CEILING", 73)
+    assert _run(argv) == expected
+    assert expected[0] == 0
