@@ -161,12 +161,11 @@ def enumerate_points(model, ext_field, avoid=(), include_singular=False):
     line = range(ext_field.order)
     pts = []
     for u in line:
-        f = F.specialize_x(u).coeffs
+        f = F.specialize_x(u)
         zeros = [v for v in line if not horner(f, v)]
         if not zeros:
             continue
-        fu, fv, *avoid_u = (P.specialize_x(u).coeffs
-                            for P in (Fu, Fv, *avoid))
+        fu, fv, *avoid_u = (P.specialize_x(u) for P in (Fu, Fv, *avoid))
         for v in zeros:
             if not include_singular:
                 if horner(fu, v) == 0 and horner(fv, v) == 0:

@@ -87,10 +87,8 @@ def normalize_degree(F):
         raise InputError(
             "curve equation is not monic (up to a constant) in Y or in X")
     shear = _tilt(G)
-    if shear:
-        G = _monic_scaled(G.shear_y(shear))
-        if G is None:  # pragma: no cover - shear preserves the Y^D form
-            raise InconsistencyError("shear lost monicity")
+    # G is monic and Y -> Y + lam*X sends only its Y^D term to Y^D
+    G = G.shear_y(shear)
     m = G.deg_y
     n = G.deg_x
     n = 0 if n is NEG_INF else n

@@ -26,7 +26,8 @@ lower).
 `write_sum` is the one writer of printed sums of products, the
 counterpart of the reader in `parsing`: field elements as t-polynomials
 (`format_rep`), `UniPoly` and `BiPoly` reprs.  It lives here, in the
-lowest module, so that `polynomials` can import it.
+lowest module, so that `polynomials` can import it.  The module imports
+no other `weiersem` module than `errors`.
 """
 
 import operator
@@ -66,31 +67,45 @@ def power(base, e, mul, one):
     return result
 
 
+def _mulmod(a, b, mod, p):
+    """The product of two base-p digit lists (low first, k digits or more)
+    mod the monic modulus `mod` of degree k over GF(p), as its k digits:
+    the one product of GF(p)[t]/(mod), for `_raw_mul` and Rabin's test."""
+    k = len(mod) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(len(prod) - 1, k - 1, -1):
+        top = prod[d]
+        if top:
+            for i in range(k):
+                prod[d - k + i] = (prod[d - k + i] - top * mod[i]) % p
+    return prod[:k]
+
+
 def _is_irreducible(mod, p):
-    """Rabin test for a monic polynomial over GF(p): f of degree k is
-    irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1 for
-    every prime l dividing k."""
-    from .polynomials import UniPoly
+    """Rabin's test for a monic f of degree k over GF(p), in the ring
+    R = GF(p)[t]/(f): f is irreducible iff t^(p^k) = t in R and, for every
+    prime l | k, b_l = t^(p^(k/l)) - t is a unit of R.  Once t^(p^k) = t,
+    R is a product of fields GF(p^d), d | k, so b_l is a unit iff
+    b_l^(p^k - 1) = 1: no gcd is needed."""
     k = len(mod) - 1
     if k < 1:
         return False
-    f = UniPoly(FiniteField(p), mod)
-    x = UniPoly.x(f.field).divmod(f)[1]
-
-    def x_pow(e):
-        return power(x, e, lambda a, b: (a * b).divmod(f)[1],
-                     UniPoly.one(f.field))
-
-    if x_pow(p ** k) != x:
+    mul = lambda a, b: _mulmod(a, b, mod, p)
+    one = [1] + [0] * (k - 1)
+    t = mul([0, 1], one)
+    if power(t, p ** k, mul, one) != t:
         return False
-    ell, kk = 2, k
-    while kk > 1:
-        if kk % ell == 0:
-            if (x_pow(p ** (k // ell)) - x).gcd(f).degree != 0:
+    for ell in range(2, k + 1):
+        if k % ell == 0 and is_prime(ell):
+            t_ell = power(t, p ** (k // ell), mul, one)
+            b = [(x - y) % p for x, y in zip(t_ell, t)]
+            if power(b, p ** k - 1, mul, one) != one:
                 return False
-            while kk % ell == 0:
-                kk //= ell
-        ell += 1
     return True
 
 
@@ -126,9 +141,7 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p ** k
-        # for k = 1 the rep is the residue and the modulus never enters
-        # arithmetic; default_modulus(p, 1) would build GF(p) to find it
-        self.modulus = default_modulus(p, k) if k > 1 else (0, 1)
+        self.modulus = default_modulus(p, k)
         self._log = self._exp = self._zech = None
         if k > 1 and self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
@@ -138,22 +151,8 @@ class FiniteField:
 
     def _raw_mul(self, a, b):
         """Polynomial-basis product of two integer reps (no tables)."""
-        p, k = self.p, self.k
-        ca = self.decode(a)
-        cb = self.decode(b)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * k - 2, k - 1, -1):
-            top = prod[d]
-            if top:
-                prod[d] = 0
-                for i in range(k):
-                    prod[d - k + i] = (prod[d - k + i] - top * self.modulus[i]) % p
-        return self.encode(prod[:k])
+        return self.encode(_mulmod(self.decode(a), self.decode(b),
+                                   self.modulus, self.p))
 
     def _build_log_tables(self):
         """exp/log tables of the first g >= 2 of order q - 1, i.e. with

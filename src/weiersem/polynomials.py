@@ -5,11 +5,11 @@ Y-coefficient rows, the form every kernel below takes and returns.  Two
 single kernels carry the polynomial arithmetic: `_list_mul` is the one
 coefficient-list multiply-add c + a*b, optionally truncated (every sum,
 difference, negation and scaling, row by row for BiPoly; the UniPoly
-product, hence the Rabin test in `fields`; the series products and sums of
-products in `branch`; the Newton-inverse step `_ser_inv_step`, which
-builds the series inverse `_ser_inv` and lifts the inverse carried by the
-Newton expansion in `branch`; every division below; the back-substitution
-and codeword sums in `codes`); over GF(p) it packs long operands and c
+product; the series products and sums of products in `branch`; the
+Newton-inverse step `_ser_inv_step`, which builds the series inverse
+`_ser_inv` and lifts the inverse carried by the Newton expansion in
+`branch`; every division below; the back-substitution and codeword sums
+in `codes`); over GF(p) it packs long operands and c
 into big integers (`_kronecker_mul`), reps of p < 256 as bytes, and
 reduces the product by `bytes.translate` on whole byte planes where their
 sum fits a byte, otherwise one coefficient at a time.  Over GF(p^k) with
@@ -28,8 +28,8 @@ divisor monic in Y.
 `BiPoly.substitute_binomial` is the one linear change of variables
 (X -> X + c*Y^k, Y -> Y + c*X, every blowup and chart map).  Every value
 at a point is the field's bound `horner` (`fields`): `UniPoly.eval_rep`
-is one call, `BiPoly.specialize_x` one call per row, and
-`BiPoly.eval_rep` one per row in X, then one in Y.
+is one call, `BiPoly.specialize_x` one call per row, returning the rep
+list of P(x, Y), and `BiPoly.eval_rep` one per row in X, then one in Y.
 `_tangent_cone` is the one test that a form is a power of one linear
 form, and names the blowup steps for its tangent: `branch` applies it at
 every blowup centre, and `_infinity_cone` at infinity, for `branch` and
@@ -252,24 +252,19 @@ def _ser_inv(a, field, prec):
 class UniPoly:
     """Dense univariate polynomial; zero polynomial has degree -inf."""
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs=(), var="X"):
+    def __init__(self, field, coeffs=()):
         self.field = field
         self.coeffs = tuple(_trim(list(coeffs)))
-        self.var = var
 
     @classmethod
-    def zero(cls, field, var="X"):
-        return cls(field, (), var)
+    def zero(cls, field):
+        return cls(field, ())
 
     @classmethod
-    def one(cls, field, var="X"):
-        return cls(field, (1,), var)
-
-    @classmethod
-    def x(cls, field, var="X"):
-        return cls(field, (0, 1), var)
+    def one(cls, field):
+        return cls(field, (1,))
 
     @property
     def degree(self):
@@ -284,26 +279,25 @@ class UniPoly:
 
     def __add__(self, other):
         return UniPoly(self.field, _list_mul(other.coeffs, (1,), self.field,
-                                             None, self.coeffs), self.var)
+                                             None, self.coeffs))
 
     def __sub__(self, other):
         f = self.field
         return UniPoly(f, _list_mul(other.coeffs, (f.neg(1),), f, None,
-                                    self.coeffs), self.var)
+                                    self.coeffs))
 
     def __neg__(self):
         return self.scale(self.field.neg(1))
 
     def __mul__(self, other):
         return UniPoly(self.field, _list_mul(self.coeffs, other.coeffs,
-                                             self.field), self.var)
+                                             self.field))
 
     def scale(self, rep):
-        return UniPoly(self.field, _list_mul(self.coeffs, (rep,), self.field),
-                       self.var)
+        return UniPoly(self.field, _list_mul(self.coeffs, (rep,), self.field))
 
     def __pow__(self, e):
-        return power(self, e, operator.mul, UniPoly.one(self.field, self.var))
+        return power(self, e, operator.mul, UniPoly.one(self.field))
 
     def divmod(self, other):
         """Division with remainder; valid since coefficients form a field.
@@ -312,7 +306,7 @@ class UniPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
         (q, r), = _divmod_rows([self.coeffs], other.coeffs, f)
-        return UniPoly(f, q, self.var), UniPoly(f, r, self.var)
+        return UniPoly(f, q), UniPoly(f, r)
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -347,7 +341,7 @@ class UniPoly:
         f = self.field
         return write_sum([((e,), f.format_coeff(c))
                           for e, c in reversed(list(enumerate(self.coeffs)))
-                          if c], (self.var,))
+                          if c], ("X",))
 
 
 def _pure_power_root(coeffs, mu, field):
@@ -575,9 +569,10 @@ class BiPoly:
                                         if j])
 
     def specialize_x(self, x):
-        """P(x, Y) as a UniPoly in Y: the field's `horner` on each row."""
+        """P(x, Y) as the rep list of its row values, Y-coefficients low
+        first: the field's `horner` on each row."""
         h = self.field.horner
-        return UniPoly(self.field, [h(row, x) for row in self.rows], "Y")
+        return [h(row, x) for row in self.rows]
 
     def eval_rep(self, x, y):
         """Value at the point (x, y): `horner` in X on each row, then in Y."""

@@ -110,15 +110,24 @@ def test_substitution_avoids_tilted_position():
 
 def test_tilted_model_is_sheared():
     """A directly supplied model with degree form (X+Y)^3 has its infinite
-    point at (1:1:0); normalization shears it back to (1:0:0)."""
+    point at (1:1:0); normalization shears it back to (1:0:0).  The sheared
+    model stays monic, also from a degree form 2*(Y-2X)^3 scaled monic
+    first."""
     F2 = parse_field("GF(2)")
     tilted = parse_poly("Y^3+X*Y^2+X^2*Y+X^3+Y^2", F2)
     model = normalize_degree(tilted)
     assert model.shear == 1
+    assert model.equation.is_monic_in_y()
     assert model.equation == parse_poly("Y^3+Y^2+X^2", F2)
     seq = am_sequence(model)
     assert seq.delta == (3, 2)
     assert one_branch_criterion(seq).one_branch
+    F5 = parse_field("GF(5)")
+    model = normalize_degree(
+        parse_poly("2*Y^3+3*X*Y^2+4*X^2*Y+4*X^3+X+1", F5))
+    assert model.shear == 2
+    assert model.equation.is_monic_in_y()
+    assert model.equation == parse_poly("Y^3+3*X+3", F5)
 
 
 def test_line_is_not_sheared():

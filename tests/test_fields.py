@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 import time
@@ -211,12 +212,13 @@ def _mobius(n):
     return -result if n > 1 else result
 
 
-@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 7)]
-                         + [(3, k) for k in range(1, 5)]
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 11)]
+                         + [(3, k) for k in range(1, 5)] + [(3, 6)]
                          + [(5, k) for k in range(1, 4)])
 def test_rabin_test_matches_gauss_count(p, k):
     """The monic irreducibles of degree k over GF(p) number
-    (1/k) * sum over d | k of mobius(d) * p^(k/d)."""
+    (1/k) * sum over d | k of mobius(d) * p^(k/d).  The degrees cover
+    every shape of k's prime factors: 1, l, l^2, l^3 and l*l'."""
     expected = sum(_mobius(d) * p ** (k // d)
                    for d in range(1, k + 1) if k % d == 0) // k
     accepted = 0
@@ -235,6 +237,23 @@ def test_rabin_test_matches_gauss_count(p, k):
 ])
 def test_default_modulus_pinned(p, k, modulus):
     assert default_modulus(p, k) == modulus
+
+
+# SHA-256 of repr([(p, k, default_modulus(p, k)), ...]) over the pairs of
+# test_default_modulus_pinned_below_order_limit, in their order, recorded
+# with the earlier Rabin test by gcd over `polynomials.UniPoly`
+DEFAULT_MODULI_SHA256 = \
+    "18d74e0be467049cdb2a980dafab1f97f53b312e82195b4aa35d57de52a08a57"
+
+
+def test_default_modulus_pinned_below_order_limit():
+    """Every prime power p^k <= 2^20 with k >= 2 keeps its modulus."""
+    pairs = [(p, k) for p in range(2, 1 << 10) if is_prime(p)
+             for k in range(2, 21) if p ** k <= 1 << 20]
+    assert len(pairs) == 242
+    moduli = [(p, k, default_modulus(p, k)) for p, k in pairs]
+    digest = hashlib.sha256(repr(moduli).encode()).hexdigest()
+    assert digest == DEFAULT_MODULI_SHA256
 
 
 def test_default_modulus_degree_one():
