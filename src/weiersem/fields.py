@@ -13,11 +13,14 @@ binds the field's add, sub, neg, mul, inv and pow_rep, and `horner`, the
 one evaluation of a rep list at a rep, on which every point value is
 computed: over logs where the field has tables, on the bound add and mul
 otherwise.  Four kernels still choose by kind, because there the kind
-changes the algorithm, not one operation: the log and Kronecker branches
-of `polynomials._list_mul` (logs of each operand taken once, or GF(p)
-operands packed into big integers), the Newton gate of
-`polynomials._divmod_rows` (Newton inversion pays only where `_list_mul`
-packs, over GF(p)), the log-encoded pivot rows of
+changes the algorithm, not one operation: the byte-row, log and Kronecker
+branches of `polynomials._list_mul` (over GF(2^k) of order q <= 256,
+whole rows of one operand mapped by `bytes.translate` through the
+`_byte_rows` tables and XORed at their shifts; over the other fields with
+tables, logs of each operand taken once; GF(p) operands packed into big
+integers), the Newton gate of `polynomials._divmod_rows` (Newton inversion
+pays only where `_list_mul` works on whole rows: over GF(p), and over
+GF(2^k) with q <= 256), the log-encoded pivot rows of
 `codes._forward_eliminate` (each pivot row taken to logs once, for every
 row it reduces), and the tableless cap of `curves.normalize_degree` (a
 field without tables multiplies digit by digit, so its degree cap is
@@ -142,7 +145,7 @@ class FiniteField:
         self.k = k
         self.order = p ** k
         self.modulus = default_modulus(p, k)
-        self._log = self._exp = self._zech = None
+        self._log = self._exp = self._zech = self._byte_rows = None
         if k > 1 and self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
         self._bind_arithmetic()
@@ -163,7 +166,14 @@ class FiniteField:
         exp is stored twice over (2(q-1) entries), so a sum of two logs
         indexes it without reduction; Z is indexed by a difference of two
         logs, a negative one counting from the end, which is the same
-        residue mod q - 1."""
+        residue mod q - 1.
+
+        For p = 2 and q <= 256 (None for every other field), `_byte_rows`
+        holds the translate tables of the whole-row product of
+        `polynomials._list_mul`: the logs as one 256-byte table, with 255
+        (no log is above q - 2 <= 254) at rep 0, and the q - 1 rotations
+        rot[l][y] = g^(l + y), each a slice of the doubled exp table padded
+        with zeros to 256 bytes, so rot[l][255] = 0: 65 KB for GF(2^8)."""
         q, p = self.order, self.p
         primes = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
         g = next(g for g in range(2, q)
@@ -196,6 +206,11 @@ class FiniteField:
                           (None if x == p - 1 else log[x + 1 - p])
                           for x in exp]
         self._exp, self._log = exp + exp, log
+        if p == 2 and q <= 256:
+            doubled, pad = bytes(exp + exp), bytes(257 - q)
+            self._byte_rows = (bytes([255] + log[1:]).ljust(256, b"\xff"),
+                               [doubled[l:l + q - 1] + pad
+                                for l in range(q - 1)])
         self.generator_rep = g
 
     # -- integer-rep arithmetic ----------------------------------------

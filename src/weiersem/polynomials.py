@@ -12,16 +12,21 @@ Newton-inverse step `_ser_inv_step`, which builds the series inverse
 in `codes`); over GF(p) it packs long operands and c
 into big integers (`_kronecker_mul`), reps of p < 256 as bytes, and
 reduces the product by `bytes.translate` on whole byte planes where their
-sum fits a byte, otherwise one coefficient at a time.  Over GF(p^k) with
-log tables it multiplies over the logs of the nonzero coefficients, taken
-once per operand.  `_rows_mul`, the BiPoly product, is one `_list_mul` of
-the rows laid end to end, cut to n rows when asked
-(`curves.approximate_root`).
+sum fits a byte, otherwise one coefficient at a time.  Over GF(2^k) of
+order q <= 256 it works on whole byte rows: the longer operand taken to
+logs by one `bytes.translate`, each distinct scalar of the shorter one
+mapping those logs to its row by one more, and the rows XORed into one
+big integer of byte slots at their shifts (addition is XOR, so no slot
+carries).  Over the other GF(p^k) with log tables it multiplies over the
+logs of the nonzero coefficients, taken once per operand.  `_rows_mul`,
+the BiPoly product, is one `_list_mul` of the rows laid end to end, cut
+to n rows when asked (`curves.approximate_root`).
 Kernels call the field's bound `add` and `mul`, whose kind of arithmetic
 `fields` picks once per field.
 There is one division per ring, on rows.  `_divmod_rows` is the one
-X-division of rows by one X-polynomial, by a shared Newton inverse over
-GF(p) from `_NEWTON_CUTOFF` on and by the schoolbook loop otherwise:
+X-division of rows by one X-polynomial, by a shared Newton inverse from
+`_NEWTON_CUTOFF` on where `_list_mul` works on whole rows (GF(p), and
+GF(2^k) with q <= 256), and by the schoolbook loop otherwise:
 `UniPoly.divmod` and every exact division are one call of it.  `_prem` is
 the one Y-division, the pseudo-remainder, and is `BiPoly.divmod_y` for a
 divisor monic in Y.
@@ -63,7 +68,12 @@ NEG_INF = float("-inf")
 # 10 and m = 845 (2-vCPU Xeon, Python 3.11): every model of deg_Y <= 850
 # took at most 3.7 s, the slowest Y^845+X^7 over GF(5) (deg_Y 847), which
 # takes 2.3-2.5 s since `_kronecker_mul` reduces whole byte planes (two runs
-# on the same machine).
+# on the same machine).  The budget holds over GF(2^k), k <= 8, since their
+# products run on byte rows and their long divisions by Newton inversion:
+# Y^830+X^7 (deg_Y 833) takes 0.9 s over GF(2^2), 15.8 s before (2-vCPU AMD
+# EPYC, Python 3.11).  It does not hold over odd-p extension fields or
+# 256 < q <= 2^16, which keep the log loop and schoolbook division:
+# Y^845+X^7 takes 41 s over GF(5^2) and 147 s over GF(13^2).
 DEGREE_LIMIT = 850
 # The deg_Y cap over GF(p^k), k > 1, of order above fields.LOG_TABLE_LIMIT,
 # where each coefficient product is a schoolbook product of base-p digits.
@@ -184,7 +194,18 @@ def _trim(row):
 
 def _list_mul(a, b, field, trunc=None, c=()):
     """The coefficient-list multiply-add: c + a*b without trailing zeros,
-    or only its first `trunc` coefficients (truncated power series)."""
+    or only its first `trunc` coefficients (truncated power series).
+
+    The field's tables pick the path.  With `_byte_rows` (GF(2^k),
+    q <= 256) the sum is one integer of byte slots, starting at c: for
+    each distinct nonzero scalar x of the shorter operand, the row x*b is
+    built once per call, as the logs of the longer operand b translated
+    through the exp rotation at log x, and XORed in at the shift of every
+    entry equal to x; the sum is cut to n bytes.  A rep 0 of b has the
+    log 255, which every rotation maps to 0.  With log tables only, each
+    product is one exp lookup over logs taken once per operand; over GF(p)
+    long operands go to `_kronecker_mul`; the rest run the schoolbook loop
+    on the field's add and mul."""
     n = len(a) + len(b) - 1 if a and b else 0
     if len(c) > n:
         n = len(c)
@@ -194,20 +215,39 @@ def _list_mul(a, b, field, trunc=None, c=()):
     if not a or not b:
         out = list(c[:n])
     elif log is not None:
-        # GF(p^k) with tables: logs of the nonzero coefficients taken once,
-        # each product one exp lookup
-        exp, add = field._exp, field.add
-        la = [(i, log[x]) for i, x in enumerate(a[:n]) if x]
-        lb = [(j, log[y]) for j, y in enumerate(b[:n]) if y]
-        out = [0] * n
-        if c:
-            out[:len(c)] = c[:n]
-        for i, x in la:
-            m = n - i
-            for j, y in lb:
-                if j >= m:
-                    break
-                out[i + j] = add(out[i + j], exp[x + y])
+        rows = field._byte_rows
+        if rows is not None:
+            # GF(2^k), q <= 256: in characteristic 2 addition is XOR, so
+            # no byte slot carries
+            logs, rot = rows
+            if len(a) > len(b):
+                a, b = b, a
+            lb = bytes(b[:n]).translate(logs)
+            acc = int.from_bytes(bytes(c[:n]), "little")
+            cache = {}
+            for i, x in enumerate(a[:n]):
+                if x:
+                    row = cache.get(x)
+                    if row is None:
+                        row = cache[x] = int.from_bytes(
+                            lb.translate(rot[log[x]]), "little")
+                    acc ^= row << (8 * i)
+            out = list((acc & ((1 << (8 * n)) - 1)).to_bytes(n, "little"))
+        else:
+            # GF(p^k) with tables: logs of the nonzero coefficients taken
+            # once, each product one exp lookup
+            exp, add = field._exp, field.add
+            la = [(i, log[x]) for i, x in enumerate(a[:n]) if x]
+            lb = [(j, log[y]) for j, y in enumerate(b[:n]) if y]
+            out = [0] * n
+            if c:
+                out[:len(c)] = c[:n]
+            for i, x in la:
+                m = n - i
+                for j, y in lb:
+                    if j >= m:
+                        break
+                    out[i + j] = add(out[i + j], exp[x + y])
     elif field.k == 1 and len(a) * len(b) >= _KRONECKER_CUTOFF:
         out = _kronecker_mul(a, b, field.p, n, c)
     else:
@@ -665,17 +705,22 @@ def _divmod_rows(rows, b, field):
     rep list c of `rows`, by one X-polynomial b (a rep list with nonzero
     top entry); every q and r a rep list without trailing zeros.
 
-    Over GF(p), when the longest quotient's length times len(b) reaches
-    _NEWTON_CUTOFF, rev(b)^-1 is built once by `_ser_inv` to that length;
+    Where `_list_mul` works on whole rows (GF(p), packed into big
+    integers, and GF(2^k) with q <= 256, on byte rows), when the longest
+    quotient's length times len(b) reaches _NEWTON_CUTOFF, rev(b)^-1 is
+    built once by `_ser_inv` to that length;
     each quotient is then one truncated product, and each remainder is
     c - q*b on the low deg b entries, one multiply-add by the pre-negated b.
-    Otherwise the schoolbook loop runs."""
+    Otherwise the schoolbook loop runs: over every other GF(p^k) the
+    products of the Newton path take as many Python-level operations as
+    the loop itself."""
     lb = len(b)
     dg = lb - 1
     n = max(map(len, rows), default=0) - dg
     nb = [field.neg(x) for x in b]
     out = []
-    if field.k == 1 and n * lb >= _NEWTON_CUTOFF:
+    if (field.k == 1 or field._byte_rows is not None) and \
+            n * lb >= _NEWTON_CUTOFF:
         inv = _ser_inv(b[::-1], field, n)
         for c in rows:
             k = len(c) - dg

@@ -4,7 +4,8 @@ The recordings in tests/data/cli_golden/*.out pin the full stdout of the
 README commands on the golden curve plus extension-field runs (among them
 the Newton expansion after blowups over GF(3^2) and the chart-y branch
 over GF(2^2)), prime-field runs that reach each Kronecker product path
-(`KRONECKER_PATHS`), and of the `semigroup` subcommands on symmetric and
+(`KRONECKER_PATHS`), GF(2^3) and GF(2^8) runs on the byte-row product
+(`BYTE_ROW_CASES`), and of the `semigroup` subcommands on symmetric and
 non-symmetric semigroups, so a refactor of the arithmetic kernels or of the
 semigroup layer cannot change any printed digit.  Re-record (only when an
 output change is intended) with
@@ -22,7 +23,7 @@ import sys
 import pytest
 
 from conftest import kronecker_path
-from weiersem import polynomials
+from weiersem import branch, codes, curves, polynomials
 from weiersem.cli import run
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -69,6 +70,11 @@ CASES = {
                          "--curve", "Y^100+X^7"],
     "y150_gf3_analyze": ["curve", "analyze", "--field", "GF(3)",
                          "--curve", "Y^150+X^7"],
+    "y300_gf8_analyze": ["curve", "analyze", "--field", "GF(2^3)",
+                         "--curve", "Y^300+X^7"],
+    "y4_gf256_weierstrass": ["weierstrass", "--field", "GF(2^8)",
+                             "--curve", "Y^4+[t]*Y+X^5", "--integral-basis",
+                             os.path.join(DATA, "empty_basis.txt")],
     "y4_gf7_weierstrass": ["weierstrass", "--field", "GF(7)",
                            "--curve", "Y^4+X^7+3", "--integral-basis",
                            os.path.join(DATA, "empty_basis.txt")],
@@ -129,6 +135,40 @@ def test_recording_reaches_its_kronecker_path(name, monkeypatch):
     monkeypatch.setattr(polynomials, "_kronecker_mul", recorded)
     assert _stdout(CASES[name])[0] == 0
     assert KRONECKER_PATHS[name] in paths
+
+
+# what each recording over GF(2^k), k <= 8, is there to pin: products on
+# whole byte rows, with the top rep q - 1 in an operand (GF(2^8)), and
+# Newton division over GF(2^3)
+BYTE_ROW_CASES = {
+    "y300_gf8_analyze": {"byte rows", "newton"},
+    "y4_gf256_weierstrass": {"byte rows", "rep q - 1"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_ROW_CASES))
+def test_recording_reaches_the_byte_row_path(name, monkeypatch):
+    seen = set()
+    list_mul, ser_inv = polynomials._list_mul, polynomials._ser_inv
+
+    def recorded_mul(a, b, field, trunc=None, c=()):
+        if field._byte_rows is not None and a and b:
+            seen.add("byte rows")
+            if field.order - 1 in a or field.order - 1 in b:
+                seen.add("rep q - 1")
+        return list_mul(a, b, field, trunc, c)
+
+    def recorded_inv(a, field, prec):
+        if field.k > 1:
+            seen.add("newton")
+        return ser_inv(a, field, prec)
+
+    # every module that calls the kernel binds it by name
+    for module in (polynomials, branch, curves, codes):
+        monkeypatch.setattr(module, "_list_mul", recorded_mul)
+    monkeypatch.setattr(polynomials, "_ser_inv", recorded_inv)
+    assert _stdout(CASES[name])[0] == 0
+    assert BYTE_ROW_CASES[name] <= seen
 
 
 def test_every_recording_has_a_case():

@@ -3,14 +3,16 @@
 Every kind of field (prime, characteristic 2 with tables, odd p with Zech
 tables, and no tables above LOG_TABLE_LIMIT) binds its own add, sub, neg,
 mul, inv and pow_rep when it is built.  Fields with log tables add through
-the Zech table (odd p), multiply coefficient lists by exp lookups over
-hoisted logs (`_list_mul`) and evaluate by Horner over logs
+the Zech table (odd p), multiply coefficient lists (`_list_mul`) on whole
+byte rows (characteristic 2, order up to 256) or by exp lookups over
+hoisted logs, and evaluate by Horner over logs
 (`UniPoly.eval_rep`).  The oracle here works on the base-p digits of the
 reps and reduces products by the modulus itself, so it shares no table
 and no bound operation with the code under test.
 """
 
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -169,31 +171,80 @@ def _operand(rng, q, length):
 
 
 def _product(F, a, b):
-    out = [0] * (len(a) + len(b) - 1)
+    """a*b by the oracle's digit product: each pair's product (one `_mul`
+    per distinct pair) added digit by digit, reduced mod p at the end."""
+    p, k = F.p, F.k
+    digits = {}
+    sums = [[0] * k for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = _add(F, out[i + j], _mul(F, x, y))
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    d = digits.get((x, y))
+                    if d is None:
+                        d = digits[x, y] = _decode(_mul(F, x, y), p, k)
+                    s = sums[i + j]
+                    for t in range(k):
+                        s[t] += d[t]
+    out = [_encode(s, p) for s in sums]
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (2, 8), (3, 2), (5, 2),
-                                 (3, 4)])
+def _multiply_add(F, full, c, trunc):
+    """c + full, cut to trunc terms when given, without trailing zeros."""
+    want = [_add(F, x, y) for x, y in zip_longest(full, c, fillvalue=0)]
+    if trunc is not None:
+        want = want[:trunc]
+    while want and want[-1] == 0:
+        want.pop()
+    return want
+
+
+def test_byte_row_tables_exactly_in_characteristic_two_up_to_256():
+    for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                 (2, 8), (2, 9), (2, 10), (2, 16), (2, 17), (3, 1), (3, 2),
+                 (3, 5), (5, 3), (7, 2), (257, 2)]:
+        F = FiniteField(p, k)
+        assert (F._byte_rows is not None) == (p == 2 and 2 <= k <= 8), F
+
+
+# GF(2^k) up to k = 8 multiply on whole byte rows; GF(2^9), GF(2^10) and
+# odd p run the loop over logs
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 8), (2, 9),
+                                 (2, 10), (3, 2), (5, 2), (3, 4)])
 def test_list_mul_log_branch(p, k):
+    """c + a*b, full and truncated, for an empty addend, one shorter and
+    one longer than a*b; operands of up to 40 entries, a pair of about 300
+    whose shorter one repeats a few scalars (each distinct row is cached
+    once and reused), and the top rep q - 1 at both ends of both."""
     F = FiniteField(p, k)
     assert F._log is not None
+    q = F.order
     rng = random.Random(f"list_mul:{p}^{k}")
+    cases = []
     for la in range(1, 41):
-        a = _operand(rng, F.order, la)
-        b = _operand(rng, F.order, rng.randrange(1, 41))
+        cases.append((_operand(rng, q, la),
+                      _operand(rng, q, rng.randrange(1, 41))))
+    pool = [rng.randrange(1, q) for _ in range(5)]
+    repeated = [rng.choice(pool) if rng.random() < 0.7 else 0
+                for _ in range(300)]
+    assert sum(map(bool, repeated)) > len(set(repeated) - {0})
+    cases.append((repeated, _operand(rng, q, 310)))
+    top = q - 1
+    cases.append(([top] + _operand(rng, q, 20) + [top], [top, 0, 0, top]))
+    for a, b in cases:
         full = _product(F, a, b)
         n = len(a) + len(b) - 1
-        for trunc in (None, 1, rng.randrange(1, n + 1), n - 1):
-            want = full if trunc is None else full[:trunc]
-            while want and want[-1] == 0:
-                want = want[:-1]
-            assert _list_mul(a, b, F, trunc) == want, (F, a, b, trunc)
+        for c in ([], _operand(rng, q, max(n // 2, 1)),
+                  _operand(rng, q, n + rng.randrange(1, 10))):
+            for trunc in (None, 1, rng.randrange(1, n + 1), n):
+                want = _multiply_add(F, full, c, trunc)
+                assert _list_mul(a, b, F, trunc, c) == want, (F, a, b, c,
+                                                              trunc)
+                assert _list_mul(b, a, F, trunc, c) == want, (F, a, b, c,
+                                                              trunc)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 2)])

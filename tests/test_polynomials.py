@@ -365,6 +365,12 @@ def _random_unipoly(rng, field, length):
     return UniPoly(field, cs + [rng.randrange(1, field.order)])
 
 
+def _whole_rows(field):
+    """The Newton gate's field rule, written out: prime fields, or
+    characteristic 2 with q <= 256."""
+    return field.k == 1 or (field.p == 2 and field.order <= 256)
+
+
 # (quotient length, divisor length): products below and at or above
 # _NEWTON_CUTOFF, long and short divisors, a constant divisor
 _DIVMOD_SHAPES = [(1, 1), (3, 5), (20, 20), (1, 200), (200, 1), (16, 64),
@@ -372,11 +378,12 @@ _DIVMOD_SHAPES = [(1, 1), (3, 5), (20, 20), (1, 200), (200, 1), (16, 64),
 
 
 @pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5),
-                                   FiniteField(101), FiniteField(3, 2)],
-                         ids=repr)
+                                   FiniteField(101), FiniteField(2, 4),
+                                   FiniteField(3, 2)], ids=repr)
 def test_divmod_against_schoolbook(field, monkeypatch):
-    """Newton division (prime fields above the cutoff) and the schoolbook
-    loop (below it, and every GF(p^k)) both agree with long division."""
+    """Newton division (prime fields and GF(2^k) of q <= 256 above the
+    cutoff) and the schoolbook loop (below it, and every other GF(p^k))
+    both agree with long division."""
     inverses = []
     ser_inv = polynomials._ser_inv
 
@@ -394,7 +401,7 @@ def test_divmod_against_schoolbook(field, monkeypatch):
             b = _random_unipoly(rng, field, lb)
             calls = len(inverses)
             q, r = a.divmod(b)
-            newton = field.k == 1 and n * lb >= _NEWTON_CUTOFF
+            newton = _whole_rows(field) and n * lb >= _NEWTON_CUTOFF
             assert len(inverses) - calls == (1 if newton else 0)
             eq, er = _schoolbook_divmod(list(a.coeffs), list(b.coeffs), field)
             assert q == UniPoly(field, eq)
@@ -412,12 +419,15 @@ _ROWS_SHAPES = [(5, 40), (1, 30), (33, 70), (60, 80), (7, 300), (300, 320)]
 
 @pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5),
                                    FiniteField(101), FiniteField(2, 2),
-                                   FiniteField(3, 2)], ids=repr)
+                                   FiniteField(2, 3), FiniteField(2, 8),
+                                   FiniteField(2, 9), FiniteField(3, 2)],
+                         ids=repr)
 def test_divmod_rows_against_schoolbook(field, monkeypatch):
     """Each (q, r) of one multi-row `_divmod_rows` call equals long
     division of its row, for empty rows, rows shorter than b and rows of
-    mixed length; over GF(p) from _NEWTON_CUTOFF on, each call builds
-    exactly one series inverse, and otherwise none."""
+    mixed length; over GF(p) and GF(2^k) of q <= 256 from _NEWTON_CUTOFF
+    on, each call builds exactly one series inverse, and otherwise none
+    (GF(2^9) and GF(3^2) stay schoolbook)."""
     inverses = []
     ser_inv = polynomials._ser_inv
 
@@ -440,7 +450,7 @@ def test_divmod_rows_against_schoolbook(field, monkeypatch):
         for c, (q, r) in zip(rows, out):
             eq, er = _schoolbook_divmod(c, b, field)
             assert (q, r) == (eq, list(UniPoly(field, er).coeffs))
-        newton = field.k == 1 and (top - lb + 1) * lb >= _NEWTON_CUTOFF
+        newton = _whole_rows(field) and (top - lb + 1) * lb >= _NEWTON_CUTOFF
         assert inverses == ([top - lb + 1] if newton else [])
 
 
