@@ -16,11 +16,11 @@ otherwise.  Four kernels still choose by kind, because there the kind
 changes the algorithm, not one operation: the byte-row, log and Kronecker
 branches of `polynomials._list_mul` (over GF(2^k) of order q <= 256,
 whole rows of one operand mapped by `bytes.translate` through the
-`_byte_rows` tables and XORed at their shifts; over the other fields with
-tables, logs of each operand taken once; GF(p) operands packed into big
-integers), the Newton gate of `polynomials._divmod_rows` (Newton inversion
-pays only where `_list_mul` works on whole rows: over GF(p), and over
-GF(2^k) with q <= 256), the log-encoded pivot rows of
+`_byte_rows` product tables and XORed at their shifts; over the other
+fields with tables, logs of each operand taken once; GF(p) operands
+packed into big integers), the Newton gate of `polynomials._divmod_rows`
+(Newton inversion pays only where `_list_mul` works on whole rows: over
+GF(p), and over GF(2^k) with q <= 256), the log-encoded pivot rows of
 `codes._forward_eliminate` (each pivot row taken to logs once, for every
 row it reduces), and the tableless cap of `curves.normalize_degree` (a
 field without tables multiplies digit by digit, so its degree cap is
@@ -169,11 +169,11 @@ class FiniteField:
         residue mod q - 1.
 
         For p = 2 and q <= 256 (None for every other field), `_byte_rows`
-        holds the translate tables of the whole-row product of
-        `polynomials._list_mul`: the logs as one 256-byte table, with 255
-        (no log is above q - 2 <= 254) at rep 0, and the q - 1 rotations
-        rot[l][y] = g^(l + y), each a slice of the doubled exp table padded
-        with zeros to 256 bytes, so rot[l][255] = 0: 65 KB for GF(2^8)."""
+        holds the product tables of the whole-row product of
+        `polynomials._list_mul`, one 256-byte table per rep x with
+        mt[x][y] = x*y for y < q and zero past q, so one `bytes.translate`
+        through mt[x] multiplies a whole row of reps by x: 65 KB for
+        GF(2^8)."""
         q, p = self.order, self.p
         primes = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
         g = next(g for g in range(2, q)
@@ -207,10 +207,14 @@ class FiniteField:
                           for x in exp]
         self._exp, self._log = exp + exp, log
         if p == 2 and q <= 256:
-            doubled, pad = bytes(exp + exp), bytes(257 - q)
-            self._byte_rows = (bytes([255] + log[1:]).ljust(256, b"\xff"),
-                               [doubled[l:l + q - 1] + pad
-                                for l in range(q - 1)])
+            # the table of g^(i+1) is the table of g^i translated through
+            # the table of g
+            by_g = bytes([0] + [self._exp[l + 1] for l in log[1:]])
+            row, by_g = (bytes(range(q)).ljust(256, b"\0"),
+                         by_g.ljust(256, b"\0"))
+            self._byte_rows = [bytes(256)] * q
+            for x in exp:
+                self._byte_rows[x], row = row, row.translate(by_g)
         self.generator_rep = g
 
     # -- integer-rep arithmetic ----------------------------------------

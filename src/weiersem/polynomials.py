@@ -13,10 +13,10 @@ in `codes`); over GF(p) it packs long operands and c
 into big integers (`_kronecker_mul`), reps of p < 256 as bytes, and
 reduces the product by `bytes.translate` on whole byte planes where their
 sum fits a byte, otherwise one coefficient at a time.  Over GF(2^k) of
-order q <= 256 it works on whole byte rows: the longer operand taken to
-logs by one `bytes.translate`, each distinct scalar of the shorter one
-mapping those logs to its row by one more, and the rows XORed into one
-big integer of byte slots at their shifts (addition is XOR, so no slot
+order q <= 256 it works on whole byte rows: each distinct scalar of the
+shorter operand maps the longer one to its row by one `bytes.translate`
+through the scalar's product table, and the rows are XORed into one big
+integer of byte slots at their shifts (addition is XOR, so no slot
 carries).  Over the other GF(p^k) with log tables it multiplies over the
 logs of the nonzero coefficients, taken once per operand.  `_rows_mul`,
 the BiPoly product, is one `_list_mul` of the rows laid end to end, cut
@@ -199,13 +199,12 @@ def _list_mul(a, b, field, trunc=None, c=()):
     The field's tables pick the path.  With `_byte_rows` (GF(2^k),
     q <= 256) the sum is one integer of byte slots, starting at c: for
     each distinct nonzero scalar x of the shorter operand, the row x*b is
-    built once per call, as the logs of the longer operand b translated
-    through the exp rotation at log x, and XORed in at the shift of every
-    entry equal to x; the sum is cut to n bytes.  A rep 0 of b has the
-    log 255, which every rotation maps to 0.  With log tables only, each
-    product is one exp lookup over logs taken once per operand; over GF(p)
-    long operands go to `_kronecker_mul`; the rest run the schoolbook loop
-    on the field's add and mul."""
+    built once per call, as the longer operand b translated through the
+    product table of x, and XORed in at the shift of every entry equal to
+    x; the sum is cut to n bytes.  With log tables only, each product is
+    one exp lookup over logs taken once per operand; over GF(p) long
+    operands go to `_kronecker_mul`; the rest run the schoolbook loop on
+    the field's add and mul."""
     n = len(a) + len(b) - 1 if a and b else 0
     if len(c) > n:
         n = len(c)
@@ -219,10 +218,9 @@ def _list_mul(a, b, field, trunc=None, c=()):
         if rows is not None:
             # GF(2^k), q <= 256: in characteristic 2 addition is XOR, so
             # no byte slot carries
-            logs, rot = rows
             if len(a) > len(b):
                 a, b = b, a
-            lb = bytes(b[:n]).translate(logs)
+            rb = bytes(b[:n])
             acc = int.from_bytes(bytes(c[:n]), "little")
             cache = {}
             for i, x in enumerate(a[:n]):
@@ -230,7 +228,7 @@ def _list_mul(a, b, field, trunc=None, c=()):
                     row = cache.get(x)
                     if row is None:
                         row = cache[x] = int.from_bytes(
-                            lb.translate(rot[log[x]]), "little")
+                            rb.translate(rows[x]), "little")
                     acc ^= row << (8 * i)
             out = list((acc & ((1 << (8 * n)) - 1)).to_bytes(n, "little"))
         else:

@@ -203,11 +203,25 @@ def _multiply_add(F, full, c, trunc):
 
 
 def test_byte_row_tables_exactly_in_characteristic_two_up_to_256():
+    """Tables exactly for p = 2, 2 <= k <= 8: one 256-byte table per rep x,
+    x*y at y < q and zero past q, against every y up to q = 32 and against
+    0, 1, q - 1 and a seeded sample of y above."""
+    rng = random.Random("byte-rows")
     for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
                  (2, 8), (2, 9), (2, 10), (2, 16), (2, 17), (3, 1), (3, 2),
                  (3, 5), (5, 3), (7, 2), (257, 2)]:
         F = FiniteField(p, k)
         assert (F._byte_rows is not None) == (p == 2 and 2 <= k <= 8), F
+        if F._byte_rows is None:
+            continue
+        q = F.order
+        ys = range(q) if q <= 32 else sorted(
+            {0, 1, q - 1} | set(rng.sample(range(q), 24)))
+        assert len(F._byte_rows) == q
+        for x, table in enumerate(F._byte_rows):
+            assert len(table) == 256 and not any(table[q:]), (F, x)
+            for y in ys:
+                assert table[y] == _mul(F, x, y), (F, x, y)
 
 
 # GF(2^k) up to k = 8 multiply on whole byte rows; GF(2^9), GF(2^10) and
@@ -239,7 +253,7 @@ def test_list_mul_log_branch(p, k):
         n = len(a) + len(b) - 1
         for c in ([], _operand(rng, q, max(n // 2, 1)),
                   _operand(rng, q, n + rng.randrange(1, 10))):
-            for trunc in (None, 1, rng.randrange(1, n + 1), n):
+            for trunc in (None, 1, rng.randrange(1, n + 1), n - 1, n):
                 want = _multiply_add(F, full, c, trunc)
                 assert _list_mul(a, b, F, trunc, c) == want, (F, a, b, c,
                                                               trunc)
